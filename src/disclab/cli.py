@@ -2,7 +2,8 @@
 
 Subcommands: gen, disc, invert, fourier, verify, experiment. Global flags
 --seed, --threads and --out are accepted by every subcommand. Exit codes:
-0 success, 1 check failure, 2 usage error.
+0 success, 1 check failure or runtime error (RuntimeError, MemoryError),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -223,6 +224,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except (RuntimeError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
+        return EXIT_CHECK_FAILED
     raise AssertionError("unreachable")
 
 

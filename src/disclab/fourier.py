@@ -6,9 +6,9 @@ coloring factors over the columns of A:
 
     dhat(theta) = prod_j cos(2 pi <A^j, theta>),
 
-real-valued and bounded by one. Products over many columns are evaluated
-as sign plus a sum of log|cos| (underflow clamped at exp(-745); a factor
-that is exactly zero short-circuits to zero), because thousands of
+real-valued and bounded by one. It is evaluated over the distinct column
+types as sign plus a multiplicity-weighted sum of log|cos| (clamped at
+exp(-745); an exactly zero factor gives zero), because thousands of
 sub-unit factors would underflow a naive product. All integrals here are
 Monte Carlo over regions of the fundamental cube [-1/2, 1/2)^m, with a
 fixed block structure so estimates depend only on (seed, samples).
@@ -68,8 +68,8 @@ TWO_PI = 2.0 * math.pi
 # Sum of log|cos| below this is treated as total underflow.
 LOG_CLAMP = -745.0
 
-# Column products switch to the log-domain path beyond this many columns.
-_DIRECT_PRODUCT_MAX_N = 64
+# Points x column types per transform-kernel chunk: bounds its memory for any n.
+KERNEL_CHUNK = 1 << 22
 
 # Calibrated constant for the quadratic approximation of log dhat: smallest
 # power of two passing a 10^4-instance pre-run over m in {1..8},
@@ -267,27 +267,40 @@ def d2_to_punctured_lattice(theta) -> float:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
-def _inner_products(A: IncidenceMatrix, thetas: np.ndarray) -> np.ndarray:
-    if thetas.shape[-1] != A.m:
-        raise ValueError(f"theta dimension {thetas.shape[-1]} != m={A.m}")
-    return thetas @ A.columns_f64
+def _sign_log_abs(thetas, V: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign and unclamped log|.| of prod_v cos(2 pi <V^v, theta>)^counts[v] per row.
+
+    Inner products are summed over the rows of V in order (einsum; BLAS
+    blocking depends on the shape), so no row depends on the chunking.
+    """
+    thetas = np.asarray(getattr(thetas, "coords", thetas), dtype=np.float64)
+    thetas = np.ascontiguousarray(np.atleast_2d(thetas))
+    if thetas.shape[-1] != V.shape[0]:
+        raise ValueError(f"theta dimension {thetas.shape[-1]} != m={V.shape[0]}")
+    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+    sign, log_abs = np.empty((2, thetas.shape[0]))
+    step = max(1, KERNEL_CHUNK // max(V.shape[1], 1))
+    for lo in range(0, thetas.shape[0], step):
+        rows = slice(lo, lo + step)
+        c = np.einsum("bi,ik->bk", thetas[rows], V)
+        np.cos(np.multiply(c, TWO_PI, out=c), out=c)
+        sign[rows] = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(c, out=c), out=c)
+        c *= weights
+        log_abs[rows] = c.sum(axis=1)
+    return sign, log_abs
+
+
+def _exp_clamped(la: np.ndarray, sign=1.0) -> np.ndarray:
+    """sign * exp(la), la clamped at LOG_CLAMP; exactly zero where la is -inf."""
+    return np.where(la == -math.inf, 0.0, sign * np.exp(np.maximum(la, LOG_CLAMP)))
 
 
 def dhat_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
     """Transform of D = A x at a batch of theta rows, shape (B, m) -> (B,)."""
-    th = np.atleast_2d(np.asarray(getattr(thetas, "coords", thetas), dtype=np.float64))
-    c = np.cos(TWO_PI * _inner_products(A, th))
-    if A.n <= _DIRECT_PRODUCT_MAX_N:
-        return np.prod(c, axis=1)
-    neg = (c < 0.0).sum(axis=1)
-    sign = 1.0 - 2.0 * (neg & 1)
-    dead = (c == 0.0).any(axis=1)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(c))
-    la = np.maximum(logs.sum(axis=1), LOG_CLAMP)
-    out = sign * np.exp(la)
-    out[dead] = 0.0
-    return out
+    sign, la = _sign_log_abs(thetas, *A.column_types)
+    return _exp_clamped(la, sign)
 
 
 def dhat(A: IncidenceMatrix, theta) -> float:
@@ -297,10 +310,7 @@ def dhat(A: IncidenceMatrix, theta) -> float:
 
 def dhat_log_abs_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
     """log |dhat| for a batch, unclamped (-inf where a factor is exactly zero)."""
-    th = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    c = np.cos(TWO_PI * _inner_products(A, th))
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(c)).sum(axis=1)
+    return _sign_log_abs(thetas, *A.column_types)[1]
 
 
 BRUTEFORCE_MAX_N = 24
@@ -337,17 +347,9 @@ def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
     """|product of the first k column factors|; k = n gives |dhat|."""
     if not (0 <= k <= A.n):
         raise ValueError(f"k must lie in [0, {A.n}]")
-    if k == 0:
-        return 1.0
-    arr = _theta_array(theta)
-    c = np.cos(TWO_PI * (arr @ A.columns_f64[:, :k]))
-    if k <= _DIRECT_PRODUCT_MAX_N:
-        return float(np.abs(np.prod(c)))
-    if (c == 0.0).any():
-        return 0.0
-    with np.errstate(divide="ignore"):
-        la = float(np.log(np.abs(c)).sum())
-    return math.exp(max(la, LOG_CLAMP))
+    _, la = _sign_log_abs(_theta_array(theta), A.columns_f64[:, :k],
+                          np.ones(k, dtype=np.int64))
+    return float(_exp_clamped(la)[0])
 
 
 Smoother = Union[SmoothingSpec, ParitySmoother]
@@ -492,11 +494,10 @@ def check_quadratic_approx(A: IncidenceMatrix, theta, K: float = QUAD_K_DEFAULT)
     ip = arr @ A.columns_f64
     quad = 2.0 * math.pi ** 2 * float(ip @ ip)
     bound = K * A.n * t * t * norm_sq * norm_sq
-    c = np.cos(TWO_PI * ip)
-    if (c <= 0.0).any():
+    if (np.cos(TWO_PI * ip) <= 0.0).any():
         failures.append("dhat is not positive at theta")
         return QuadApproxReport(None, quad, bound, None, tuple(failures))
-    log_dhat = float(np.log(c).sum())
+    log_dhat = float(dhat_log_abs_batch(A, arr)[0])
     ok = None if failures else bool(abs(log_dhat + quad) <= bound)
     return QuadApproxReport(log_dhat, quad, bound, ok, tuple(failures))
 
@@ -676,9 +677,7 @@ def far_region_integral(
                     la = la + include_rhat_delta * np.log(
                         0.5 + 0.5 * np.cos(TWO_PI * pts[mask])
                     ).sum(axis=1)
-            sub = np.exp(np.maximum(la, LOG_CLAMP))
-            sub[la == -math.inf] = 0.0
-            vals[mask] = sub
+            vals[mask] = _exp_clamped(la)
             finite = la[la > -math.inf]
             if finite.size:
                 fmax = float(finite.max())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class IncidenceMatrix:
     """
 
     __slots__ = ("m", "n", "meta", "row_words", "col_words",
-                 "_bits", "_cols64", "_row_sums", "_col_sums")
+                 "_bits", "_cols64", "_types", "_row_sums", "_col_sums")
 
     def __init__(self, bits, meta: Optional[GenMeta] = None):
         arr = np.asarray(bits)
@@ -111,6 +111,7 @@ class IncidenceMatrix:
         self.col_words = _pack_u64(np.ascontiguousarray(b.T).view(np.uint8))
         self.meta = meta if meta is not None else GenMeta()
         self._cols64 = None
+        self._types = None
         self._row_sums = None
         self._col_sums = None
 
@@ -129,6 +130,25 @@ class IncidenceMatrix:
             c.flags.writeable = False
             self._cols64 = c
         return self._cols64
+
+    @property
+    def column_types(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct columns and their multiplicities (cached).
+
+        Returns (V, c): V is a read-only float64 array of shape (m, k) whose
+        columns are the k <= min(n, 2^m) distinct columns of the matrix, and
+        c the int64 number of columns equal to each. The transform of the
+        signed discrepancy depends on the columns only through this multiset.
+        """
+        if self._types is None:
+            _, first, counts = np.unique(self.col_words, axis=0,
+                                         return_index=True, return_counts=True)
+            V = np.ascontiguousarray(self._bits[:, first], dtype=np.float64)
+            V.flags.writeable = False
+            counts = counts.astype(np.int64)
+            counts.flags.writeable = False
+            self._types = (V, counts)
+        return self._types
 
     @property
     def row_sums(self) -> np.ndarray:

@@ -68,6 +68,102 @@ def test_dhat_partial_monotone_and_edges():
         dl.dhat_partial(A, th, 31)
 
 
+def _column_product(bits, theta, cos=math.cos):
+    """Reference: (prod_j f_j, sum_j log|f_j|) with f_j = cos(2 pi <A^j, theta>),
+    one column at a time."""
+    prod, log_abs = 1.0, 0.0
+    for j in range(len(bits[0])):
+        f = cos(2 * math.pi * sum(theta[i] * bits[i][j] for i in range(len(bits))))
+        prod *= f
+        log_abs += math.log(abs(f)) if f != 0.0 else -math.inf
+    return prod, log_abs
+
+
+def _repeated_columns(reps):
+    """m=2 matrix whose columns (1,0), (0,1), (1,1), (0,0) appear reps[k] times."""
+    cols = [(1, 0)] * reps[0] + [(0, 1)] * reps[1] + [(1, 1)] * reps[2] + [(0, 0)] * reps[3]
+    return IncidenceMatrix(np.array(cols, dtype=int).T)
+
+
+# Points where cos(2 pi theta_1), cos(2 pi theta_2) and cos(2 pi (theta_1 + theta_2))
+# take every combination of signs; the first has all three negative.
+SIGN_POINTS = np.array([[0.4, 0.3], [0.4, 0.05], [-0.35, 0.45], [0.1, -0.2],
+                        [0.3, 0.3], [0.05, 0.1], [-0.45, -0.3], [0.2, 0.45]])
+
+
+@pytest.mark.parametrize("reps", [(2, 3, 1, 1), (3, 2, 4, 0), (40, 41, 7, 2), (51, 64, 33, 9)])
+def test_kernel_matches_column_product_with_repeated_columns(reps):
+    # even and odd multiplicities at negative cosines, n on both sides of 64
+    A = _repeated_columns(reps)
+    bits = A.bits.tolist()
+    d = fr.dhat_batch(A, SIGN_POINTS)
+    la = fr.dhat_log_abs_batch(A, SIGN_POINTS)
+    for b, th in enumerate(SIGN_POINTS):
+        prod, log_abs = _column_product(bits, th)
+        assert d[b] == pytest.approx(prod, rel=1e-12, abs=1e-300)
+        assert math.copysign(1.0, d[b]) == math.copysign(1.0, prod)
+        assert la[b] == pytest.approx(log_abs, rel=1e-12)
+        assert dl.dhat(A, th) == d[b]
+        for k in (1, A.n // 2, A.n):
+            part, _ = _column_product([row[:k] for row in bits], th)
+            assert dl.dhat_partial(A, th, k) == pytest.approx(abs(part), rel=1e-12)
+
+
+def test_kernel_exactly_zero_factor(monkeypatch):
+    # No double argument makes cos return exactly 0.0, so near-zeros are
+    # rounded to zero in the kernel and in the reference alike.
+    real_cos = np.cos
+
+    def cos_with_zeros(x, *args, **kwargs):
+        out = real_cos(x, *args, **kwargs)
+        out[np.abs(out) < 1e-12] = 0.0
+        return out
+
+    def ref_cos(x):
+        f = math.cos(x)
+        return 0.0 if abs(f) < 1e-12 else f
+
+    monkeypatch.setattr(np, "cos", cos_with_zeros)
+    for reps in ((2, 3, 1, 1), (40, 41, 7, 2)):
+        A = _repeated_columns(reps)
+        th = np.array([0.25, 0.1])  # every (1, 0) column has factor cos(pi / 2)
+        prod, log_abs = _column_product(A.bits.tolist(), th, ref_cos)
+        assert prod == 0.0 and log_abs == -math.inf
+        assert fr.dhat_batch(A, th[None, :])[0] == 0.0
+        assert dl.dhat(A, th) == 0.0
+        assert fr.dhat_log_abs_batch(A, th[None, :])[0] == -math.inf
+        assert dl.dhat_partial(A, th, A.n) == 0.0
+        assert dl.dhat_partial(A, th, reps[0] - 1) == 0.0
+        # the (0, 1) columns alone have no zero factor
+        B = _repeated_columns((0, reps[1], 0, 0))
+        assert dl.dhat(B, th) == pytest.approx(math.cos(0.2 * math.pi) ** reps[1], rel=1e-12)
+
+
+def test_kernel_clamps_far_from_origin():
+    A = dl.sample_bernoulli(3, 1500, 0.5, 8)
+    bits = A.bits.tolist()
+    for th in ([0.2, -0.3, 0.15], [-0.45, 0.35, 0.2]):
+        prod, log_abs = _column_product(bits, th)
+        assert log_abs < fr.LOG_CLAMP
+        floor = math.exp(fr.LOG_CLAMP)
+        assert fr.dhat_log_abs_batch(A, [th])[0] == pytest.approx(log_abs, rel=1e-12)
+        d = dl.dhat(A, th)
+        assert abs(d) == floor
+        assert math.copysign(1.0, d) == math.copysign(1.0, prod)
+        assert dl.dhat_partial(A, th, A.n) == floor
+
+
+def test_prob_fourier_mc_independent_of_kernel_chunk(monkeypatch):
+    # 54 column types; on this instance a BLAS matmul for the inner products
+    # already changes the estimate between chunk sizes 1 and 4099.
+    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    s = dl.build_pmf(1)
+    base = dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11)
+    for chunk in (1, 50, 4099):
+        monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
+        assert dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) == base
+
+
 def test_dhat_periodicity_properties():
     rng = stream(23)
     for _ in range(20):

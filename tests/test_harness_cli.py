@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import disclab as dl
 from disclab import harness as hz
+from disclab import inversion as iv
 from disclab.cli import main
 from disclab.setsystem import IncidenceMatrix
 
@@ -211,3 +215,64 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "disclab" in proc.stdout
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("imaginary part 2.8e-03 exceeds 3 stderr 8.8e-04"),
+     "error: imaginary part 2.8e-03 exceeds 3 stderr 8.8e-04\n"),
+    (MemoryError("Unable to allocate 9.77 GiB"), "error: Unable to allocate 9.77 GiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_cli_runtime_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    inst = tmp_path / "inst.json"
+    IncidenceMatrix([[1, 1]]).save(inst)
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(iv, "prob_fourier_mc", fail)
+    code = main(["invert", "--in", str(inst), "--samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == line
+    assert captured.out == ""
+
+
+def test_cli_invert_large_n_in_bounded_memory(tmp_path):
+    # m=4, n=20000 under a 1.5 GB address-space cap on the child only: the
+    # transform must not hold a samples x n block (65536 x 20000 doubles is
+    # 9.8 GiB). One BLAS thread keeps the cap independent of the core count.
+    resource = pytest.importorskip("resource")
+    limit = 1536 * 2 ** 20
+    inst = tmp_path / "inst.json"
+    dl.sample_bernoulli(4, 20000, 0.5, 1).save(inst)
+    env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "disclab.cli", "invert", "--in", str(inst),
+         "--lambda", "0,0,0,0", "--samples", "100000"],
+        capture_output=True, text=True, env=env, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["estimate"]["samples"] == 100000
+
+
+def _readme_commands(*prefixes):
+    """Command lines of the README's command-line example that start with a prefix."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith(prefixes)]
+
+
+def test_readme_command_line_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands("disclab gen", "disclab invert", "disclab fourier",
+                                "disclab disc --in small.json")
+    assert len(commands) == 6
+    for argv in commands:
+        argv = argv[1:]
+        if "--samples" in argv:
+            argv[argv.index("--samples") + 1] = "4096"
+        assert main(argv) == 0, argv
+        capsys.readouterr()

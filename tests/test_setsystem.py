@@ -48,6 +48,22 @@ def test_packed_words_match_dense():
     assert A.col_words.shape == (130, 1)
 
 
+@pytest.mark.parametrize("m, n", [(3, 200), (70, 40)])
+def test_column_types_are_the_column_multiset(m, n):
+    # m=70 spans two packed words per column
+    A = dl.sample_bernoulli(m, n, 0.3 if m < 64 else 0.02, 5)
+    V, counts = A.column_types
+    assert A.column_types[0] is V
+    expected = {}
+    for j in range(n):
+        key = tuple(int(v) for v in A.bits[:, j])
+        expected[key] = expected.get(key, 0) + 1
+    got = {tuple(int(v) for v in V[:, t]): int(counts[t]) for t in range(V.shape[1])}
+    assert got == expected
+    with pytest.raises(ValueError):
+        counts[0] = 0
+
+
 def test_matrix_is_immutable():
     A = dl.sample_bernoulli(3, 10, 0.5, 1)
     with pytest.raises(ValueError):
