@@ -78,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated integer vector, e.g. 0,0,0")
     inv.add_argument("--samples", type=int, default=10 ** 6)
     inv.add_argument("--exact", action="store_true",
-                     help="also run the exact enumeration oracle (n <= 24)")
+                     help="also compute the exact law (n <= 24): an integer dynamic "
+                          "program over column types whose cost grows with the "
+                          "number of distinct A x values")
     _common_flags(inv)
 
     fo = subs.add_parser("fourier", help="transform evaluation")

@@ -1,13 +1,15 @@
 """Point probabilities of the smoothed discrepancy X = A x + R, two ways.
 
-The exact route enumerates all 2^n colorings and convolves each signed
-discrepancy with the smoother's exact rational law, so its output is a
-Fraction with denominator dividing 2^n * 4^(m*delta); no rounding enters
-the oracle the rest of the suite leans on. The scalable route estimates
-the inversion integral of xhat against exp(-2 pi i <lambda, theta>) over
-the fundamental cube by Monte Carlo. The even-parity shortcut integrates
-over the quarter cube only, and the cancellation check exercises the
-identity the inversion formula rests on.
+The exact route takes the law of the signed discrepancy A x from a
+dynamic program over the column types (its cost grows with the number of
+distinct values of A x, not with 2^n) and convolves it with the
+smoother's law in integer arithmetic, so its output is a Fraction with
+denominator dividing 2^n * 4^(m*delta); no rounding enters the oracle the
+rest of the suite leans on. The scalable route estimates the inversion
+integral of xhat against exp(-2 pi i <lambda, theta>) over the
+fundamental cube by Monte Carlo. The even-parity shortcut integrates over
+the quarter cube only, and the cancellation check exercises the identity
+the inversion formula rests on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,56 +90,60 @@ def _lambda_array(A: IncidenceMatrix, lam) -> np.ndarray:
     return arr
 
 
-def prob_exact(A: IncidenceMatrix, smoothing, lam) -> Fraction:
-    """Exact Pr[X = lambda] by full enumeration of colorings.
+def _integer_row_laws(smoothing, m: int) -> Tuple[List[Dict[int, int]], int]:
+    """The smoother's row laws as integer numerators over common denominators.
 
-    Works for both smoother kinds; refuses n > 24.
+    Row i's law is nums[i][r] / L_i with L_i the least common denominator
+    of its table; zero entries are dropped. Returns (nums, prod_i L_i).
+    """
+    nums, denominator = [], 1
+    for table in smoothing.row_pmfs(m):
+        L = math.lcm(*(p.denominator for p in table.values()))
+        nums.append({r: p.numerator * (L // p.denominator) for r, p in table.items() if p})
+        denominator *= L
+    return nums, denominator
+
+
+def prob_exact(A: IncidenceMatrix, smoothing, lam) -> Fraction:
+    """Exact Pr[X = lambda] from the exact law of A x.
+
+    Convolves the law of A x (`coloring_disc_counts`, a dynamic program
+    over column types whose cost grows with the number of distinct values
+    of A x) with the smoother's law in integers and divides once at the
+    end. Works for both smoother kinds; refuses n > 24.
     """
     if A.n > EXACT_MAX_N:
-        raise ValueError(f"refusing exact enumeration for n={A.n} > {EXACT_MAX_N}")
-    target = _lambda_array(A, lam)
-    tables = smoothing.row_pmfs(A.m)
-    counts = coloring_disc_counts(A)
-    two_n = Fraction(1, 2 ** A.n)
-    total = Fraction(0)
-    for disc_vec, cnt in counts.items():
-        term = Fraction(cnt) * two_n
-        for i in range(A.m):
-            pm = tables[i].get(int(target[i]) - disc_vec[i])
-            if pm is None:
-                term = None
+        raise ValueError(f"refusing the exact law for n={A.n} > {EXACT_MAX_N}")
+    target = _lambda_array(A, lam).tolist()
+    rows, denominator = _integer_row_laws(smoothing, A.m)
+    total = 0
+    for disc_vec, cnt in coloring_disc_counts(A).items():
+        for row, lam_i, d in zip(rows, target, disc_vec):
+            num = row.get(lam_i - d)
+            if num is None:
                 break
-            term *= pm
-        if term is not None:
-            total += term
-    return total
+            cnt *= num
+        else:
+            total += cnt
+    return Fraction(total, denominator << A.n)
 
 
 def distribution_exact(A: IncidenceMatrix, smoothing) -> dict:
     """The full exact law of X as {lambda tuple: Fraction}; sums to one."""
     if A.n > EXACT_MAX_N:
-        raise ValueError(f"refusing exact enumeration for n={A.n} > {EXACT_MAX_N}")
-    tables = smoothing.row_pmfs(A.m)
-    counts = coloring_disc_counts(A)
-    two_n = Fraction(1, 2 ** A.n)
-    out: dict = {}
-    supports = [sorted(t.keys()) for t in tables]
-    for disc_vec, cnt in counts.items():
-        base = Fraction(cnt) * two_n
-        lam_parts = [[] for _ in range(A.m)]
-        for i in range(A.m):
-            lam_parts[i] = [(disc_vec[i] + r, tables[i][r]) for r in supports[i]]
-        stack = [((), base)]
-        for i in range(A.m):
-            stack = [
-                (prefix + (lam_i,), w * pi)
-                for prefix, w in stack
-                for lam_i, pi in lam_parts[i]
-                if pi != 0
-            ]
-        for lam_tuple, w in stack:
-            out[lam_tuple] = out.get(lam_tuple, Fraction(0)) + w
-    return out
+        raise ValueError(f"refusing the exact law for n={A.n} > {EXACT_MAX_N}")
+    rows, denominator = _integer_row_laws(smoothing, A.m)
+    law = coloring_disc_counts(A)
+    for i, row in enumerate(rows):  # the smoother's rows are independent
+        smoothed: Dict[Tuple[int, ...], int] = {}
+        for vec, cnt in law.items():
+            head, d, tail = vec[:i], vec[i], vec[i + 1:]
+            for r, num in row.items():
+                key = head + (d + r,) + tail
+                smoothed[key] = smoothed.get(key, 0) + cnt * num
+        law = smoothed
+    scale = denominator << A.n
+    return {lam: Fraction(t, scale) for lam, t in law.items()}
 
 
 def prob_fourier_mc(

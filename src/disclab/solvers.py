@@ -3,11 +3,13 @@ at desk scale, and the counting upper bound on good colorings.
 
 None of these carries a guarantee; existence in the random regime is a
 probabilistic fact and every routine here is a plain search heuristic.
-The exact enumerator walks colorings in Gray-code order so consecutive
-states differ in a single sign and the discrepancy vector is updated
-incrementally; the per-step updates are batched into numpy cumulative
-sums, which keeps the cost per coloring at O(m) without a Python-level
-inner loop.
+The exact minimum and the count of good colorings walk colorings in
+Gray-code order so consecutive states differ in a single sign and the
+discrepancy vector is updated incrementally; the per-step updates are
+batched into numpy cumulative sums, which keeps the cost per coloring at
+O(m) without a Python-level inner loop and the memory bounded. The full
+law of A x is a dynamic program over the column types instead, whose
+cost grows with the number of distinct values of A x rather than 2^n.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class SearchResult:
         return self.coloring is not None
 
 
-def _gray_code(i: int) -> int:
+def _gray_code(i):
+    """Gray code of an int or of an integer array, elementwise."""
     return i ^ (i >> 1)
 
 
@@ -87,17 +90,13 @@ def _gray_disc_chunks(
         if nz.any():
             s = steps[nz]
             flip_bit = np.log2(s & -s).astype(np.int64)
-            after = (_gray_vec(s) >> flip_bit) & 1
+            after = (_gray_code(s) >> flip_bit) & 1
             direction = np.where(after == 1, -2, 2).astype(np.int32)
             deltas[nz] = direction[:, None] * cols[flip_bit + offset]
         block = state[None, :] + np.cumsum(deltas, axis=0, dtype=np.int32)
         yield start, block
         state = block[-1]
         start += size
-
-
-def _gray_vec(i: np.ndarray) -> np.ndarray:
-    return i ^ (i >> 1)
 
 
 def _parity_floor(A: IncidenceMatrix) -> int:
@@ -140,18 +139,43 @@ def count_colorings_within(A: IncidenceMatrix, delta: int) -> int:
 
 
 def coloring_disc_counts(A: IncidenceMatrix) -> Dict[Tuple[int, ...], int]:
-    """Counts of each signed-discrepancy vector over all 2^n colorings."""
+    """Counts of each signed-discrepancy vector over all 2^n colorings.
+
+    A x = sum_v s_v v over the column types v, where s_v = c_v - 2k is the
+    signed sum of the c_v colors on the columns of type v, reached by
+    C(c_v, k) colorings. The types are added one at a time and equal
+    partial sums merged, so the cost grows with the number of distinct
+    values of A x rather than with 2^n, and no intermediate set of states
+    outgrows the final one (adding the largest shift of every remaining
+    type is injective). States fit int8 (|D_i| <= n <= 30) and counts stay
+    exact in int64 (each is at most 2^n).
+    """
     if A.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"refusing exhaustive enumeration for n={A.n} > {EXHAUSTIVE_MAX_N}")
-    counts: Dict[Tuple[int, ...], int] = {}
-    for _, block in _gray_disc_chunks(A, fix_first=True):
-        uniq, cnt = np.unique(block, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            key = tuple(int(v) for v in row)
-            counts[key] = counts.get(key, 0) + int(c)
-            neg = tuple(-v for v in key)
-            counts[neg] = counts.get(neg, 0) + int(c)
-    return counts
+        raise ValueError(f"refusing the exact law for n={A.n} > {EXHAUSTIVE_MAX_N}")
+    V, c = A.column_types
+    states = np.zeros((1, A.m), dtype=np.int8)
+    counts = np.ones(1, dtype=np.int64)
+    for v, cv in zip(V.T.astype(np.int8), c.tolist()):
+        shifts = np.arange(cv, -cv - 1, -2, dtype=np.int8)[:, None] * v  # s_v for k = 0..c_v
+        ways = np.array([math.comb(cv, k) for k in range(cv + 1)], dtype=np.int64)
+        states = (states[:, None, :] + shifts).reshape(-1, A.m)
+        counts = (counts[:, None] * ways).reshape(-1)
+        states, counts = _merge_equal_rows(states, counts)
+    law: Dict[Tuple[int, ...], int] = {}
+    for lo in range(0, len(counts), _CHUNK):  # bounds the per-coordinate lists
+        coords = states[lo:lo + _CHUNK].T.tolist()
+        law.update(zip(zip(*coords), counts[lo:lo + _CHUNK].tolist()))
+    return law
+
+
+def _merge_equal_rows(states: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the counts of equal rows of states; one row per distinct state."""
+    order = np.lexsort(states.T)
+    states = states[order]
+    first = np.ones(len(states), dtype=bool)
+    first[1:] = (states[1:] != states[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return states[starts], np.add.reduceat(counts[order], starts)
 
 
 def _verified(A: IncidenceMatrix, coloring: Coloring, target: int,

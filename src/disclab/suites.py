@@ -687,7 +687,7 @@ def suite_inversion(
     cancellation_samples: int = 10 ** 5,
     parity_instances: int = 20,
 ) -> SuiteReport:
-    """Monte Carlo inversion against the exact enumeration oracle, the
+    """Monte Carlo inversion against the exact-law oracle, the
     cancellation identity, the even-parity shortcut, and the exact law's
     own consistency properties."""
     t0 = time.time()

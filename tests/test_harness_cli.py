@@ -141,6 +141,17 @@ def test_cli_invert_exact_and_mc(tmp_path, capsys):
     assert payload["estimate"]["samples"] == 100000
 
 
+def test_cli_invert_exact_at_n24(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    A = dl.sample_bernoulli(3, 24, 0.5, 12)
+    A.save(inst)
+    code, out = run_cli(["invert", "--in", str(inst), "--delta", "1",
+                         "--lambda", "0,0,0", "--samples", "4096",
+                         "--seed", "3", "--exact"], capsys)
+    assert code == 0
+    assert json.loads(out)["exact"] == str(dl.prob_exact(A, dl.build_pmf(1), [0, 0, 0]))
+
+
 def test_cli_fourier_eval(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     IncidenceMatrix([[1, 0], [0, 1]]).save(inst)

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disclab as dl
 from disclab import solvers as sv
@@ -64,6 +68,57 @@ def test_count_colorings_within():
                 [1 if (mask >> j) & 1 else -1 for j in range(B.n)])).max()) <= target
             for mask in range(2 ** B.n))
         assert dl.count_colorings_within(B, target) == brute
+
+
+def brute_disc_counts(A):
+    """Counts of A x over all 2^n colorings, one coloring per row."""
+    masks = np.arange(2 ** A.n)[:, None]
+    signs = 1 - 2 * ((masks >> np.arange(A.n)) & 1)
+    return Counter(map(tuple, (signs @ A.bits.T.astype(int)).tolist()))
+
+
+@pytest.mark.parametrize("bits", [
+    [[0, 0, 0]],
+    np.zeros((4, 6), dtype=int),
+    np.ones((1, 9), dtype=int),
+    np.ones((5, 12), dtype=int),
+    [[1, 0, 1, 0, 1, 1, 0], [1, 0, 1, 0, 1, 1, 0]],  # repeated rows
+    [[1, 1, 1, 1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1, 1, 1, 1]],  # repeated columns
+    [[1, 0, 1, 0, 1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 1, 1, 0, 0, 0],
+     [0, 0, 0, 1, 1, 1, 1, 0, 0, 0]],  # zero and distinct columns
+])
+def test_coloring_disc_counts_matches_brute_force_on_shapes(bits):
+    A = IncidenceMatrix(bits)
+    assert sv.coloring_disc_counts(A) == brute_disc_counts(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 14), p=st.sampled_from([0.1, 0.5, 0.9]),
+       seed=st.integers(0, 2 ** 62))
+def test_coloring_disc_counts_matches_brute_force(m, n, p, seed):
+    A = dl.sample_bernoulli(m, n, p, seed)
+    assert sv.coloring_disc_counts(A) == brute_disc_counts(A)
+
+
+def test_coloring_disc_counts_independent_of_chunk(monkeypatch):
+    A = dl.sample_bernoulli(4, 12, 0.5, 3)
+    expected = brute_disc_counts(A)
+    assert len(expected) > 5
+    monkeypatch.setattr(sv, "_CHUNK", 5)
+    assert sv.coloring_disc_counts(A) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 14), p=st.sampled_from([0.1, 0.5, 0.9]),
+       seed=st.integers(0, 2 ** 62))
+def test_coloring_disc_counts_agrees_with_gray_enumeration(m, n, p, seed):
+    A = dl.sample_bernoulli(m, n, p, seed)
+    counts = sv.coloring_disc_counts(A)
+    disc = {vec: max(abs(v) for v in vec) for vec in counts}
+    assert min(disc.values()) == dl.exhaustive_min_disc(A)[0]
+    for delta in range(3):
+        within = sum(c for vec, c in counts.items() if disc[vec] <= delta)
+        assert within == dl.count_colorings_within(A, delta)
 
 
 def test_coloring_disc_counts_total():
