@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Subcommands: gen, disc, invert, fourier, verify, experiment. Global flags
---seed, --threads and --out are accepted by every subcommand. Exit codes:
-0 success, 1 check failure or runtime error (RuntimeError, MemoryError),
-2 usage error.
+--seed, --threads and --out are accepted by every subcommand; --threads
+sets the trial threads of `experiment theorem` and is ignored elsewhere.
+Exit codes: 0 success, 1 check failure or runtime error (RuntimeError,
+MemoryError), 2 usage error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ EXIT_USAGE = 2
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42, help="root RNG seed (default 42)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker threads of `experiment theorem`; ignored by "
+                          "the other subcommands (default 1)")
     sub.add_argument("--out", type=str, default=None, help="output file (default stdout)")
 
 

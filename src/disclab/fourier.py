@@ -12,11 +12,19 @@ exp(-745); an exactly zero factor gives zero), because thousands of
 sub-unit factors would underflow a naive product. All integrals here are
 Monte Carlo over regions of the fundamental cube [-1/2, 1/2)^m, with a
 fixed block structure so estimates depend only on (seed, samples).
+
+Large batches of the transform kernel are split by rows over every core
+the process may run on (a process-wide thread pool, built on first use).
+Each row is computed the same way whichever thread computes it, so every
+value, and every estimate built on it, is the same at any core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Tuple, Union
@@ -68,8 +76,14 @@ TWO_PI = 2.0 * math.pi
 # Sum of log|cos| below this is treated as total underflow.
 LOG_CLAMP = -745.0
 
-# Points x column types per transform-kernel chunk: bounds its memory for any n.
+# Points x column types in flight in the transform kernel, summed over all
+# its threads: bounds its memory for any n and any core count.
 KERNEL_CHUNK = 1 << 22
+
+# Batches of fewer points x column types than this (about a millisecond of
+# work) run on the calling thread alone: below it, waking the pool's threads
+# cost more than they saved on 2 cores, and single points never pay it.
+PARALLEL_MIN_WORK = 1 << 15
 
 # Calibrated constant for the quadratic approximation of log dhat: smallest
 # power of two passing a 10^4-instance pre-run over m in {1..8},
@@ -267,28 +281,79 @@ def d2_to_punctured_lattice(theta) -> float:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
+def _kernel_rows(thetas, V, odd, weights, sign, log_abs, rows: slice) -> None:
+    """Write sign and log|.| of the given rows of thetas into sign / log_abs."""
+    c = np.einsum("bi,ik->bk", thetas[rows], V)
+    np.cos(np.multiply(c, TWO_PI, out=c), out=c)
+    sign[rows] = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(c, out=c), out=c)
+    c *= weights
+    log_abs[rows] = c.sum(axis=1)
+
+
+def _worker_count() -> int:
+    """Threads the kernel splits a batch over: every core the process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool: Optional[Tuple[int, int, ThreadPoolExecutor]] = None  # (pid, workers, pool)
+
+
+def _kernel_pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide pool of workers - 1 kernel threads, built on first use.
+
+    It is rebuilt when the worker count changes and in a forked child,
+    whose copy of the parent's pool has no live threads.
+    """
+    global _pool
+    with _pool_lock:
+        key = (os.getpid(), workers)
+        if _pool is None or _pool[:2] != key:
+            # A dropped pool's idle threads exit once no caller holds it.
+            _pool = key + (ThreadPoolExecutor(workers - 1, "disclab-kernel"),)
+        return _pool[2]
+
+
 def _sign_log_abs(thetas, V: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sign and unclamped log|.| of prod_v cos(2 pi <V^v, theta>)^counts[v] per row.
 
     Inner products are summed over the rows of V in order (einsum; BLAS
-    blocking depends on the shape), so no row depends on the chunking.
+    blocking depends on the shape), so no row depends on the slicing or on
+    the thread that computes it. A batch of at least PARALLEL_MIN_WORK
+    points x types is cut into slices that the calling thread and the
+    kernel pool share, the caller taking every T-th of the T threads'
+    slices; each slice is at most KERNEL_CHUNK / T points x types, so at
+    most KERNEL_CHUNK are in flight at once.
     """
     thetas = np.asarray(getattr(thetas, "coords", thetas), dtype=np.float64)
     thetas = np.ascontiguousarray(np.atleast_2d(thetas))
     if thetas.shape[-1] != V.shape[0]:
         raise ValueError(f"theta dimension {thetas.shape[-1]} != m={V.shape[0]}")
     odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-    sign, log_abs = np.empty((2, thetas.shape[0]))
-    step = max(1, KERNEL_CHUNK // max(V.shape[1], 1))
-    for lo in range(0, thetas.shape[0], step):
-        rows = slice(lo, lo + step)
-        c = np.einsum("bi,ik->bk", thetas[rows], V)
-        np.cos(np.multiply(c, TWO_PI, out=c), out=c)
-        sign[rows] = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(c, out=c), out=c)
-        c *= weights
-        log_abs[rows] = c.sum(axis=1)
+    points, types = thetas.shape[0], max(V.shape[1], 1)
+    sign, log_abs = np.empty((2, points))
+    workers = _worker_count() if points * types >= PARALLEL_MIN_WORK else 1
+    # Equal slices of at most cap rows, in whole rounds of one per thread.
+    cap = max(1, KERNEL_CHUNK // (workers * types))
+    rounds = max(1, -(-points // (workers * cap)))
+    step = max(1, -(-points // (workers * rounds)))
+    slices = [slice(lo, lo + step) for lo in range(0, points, step)]
+    args = (thetas, V, odd, weights, sign, log_abs)
+    futures = []
+    if workers > 1 and len(slices) > 1:
+        pool = _kernel_pool(workers)
+        futures = [pool.submit(_kernel_rows, *args, part)
+                   for i, part in enumerate(slices) if i % workers]
+    try:
+        for part in slices[::workers]:
+            _kernel_rows(*args, part)
+    finally:
+        for f in futures:  # also when the caller's share raised: no writes after return
+            f.result()
     return sign, log_abs
 
 
@@ -413,6 +478,44 @@ def gaussian_density_zero(Sigma) -> float:
 MC_BLOCK = 1 << 16
 
 
+class RunningMoments:
+    """Count, sum and centred sum of squares of Monte Carlo values, by block.
+
+    Each block's squares are centred on the block's own mean and merged by
+    the pairwise update of Chan, Golub & LeVeque, so the variance does not
+    cancel when the standard error is far below |mean|. The mean is the
+    plain running sum over the count, added in block order.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.m2 = 0.0
+
+    def add(self, vals: np.ndarray) -> None:
+        k = vals.size
+        s = float(vals.sum())
+        dev = vals - s / k
+        m2 = float((dev * dev).sum())
+        if self.count:
+            delta = s / k - self.mean
+            m2 += delta * delta * (self.count * k / (self.count + k))
+        self.m2 += m2
+        self.count += k
+        self.total += s
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count
+
+    @property
+    def stderr(self) -> float:
+        """Sample standard deviation over sqrt(count); zero for one value."""
+        if self.count < 2:
+            return 0.0
+        return math.sqrt(self.m2 / (self.count - 1) / self.count)
+
+
 def integrate_mc(
     f: Callable[[np.ndarray], np.ndarray],
     region: Region,
@@ -430,12 +533,10 @@ def integrate_mc(
         raise ValueError("samples must be positive")
     indicator = region.uses_indicator
     scale = 1.0 if indicator else region.volume()  # indicator: cube volume is 1
-    total = 0.0
-    total_sq = 0.0
-    done = 0
+    moments = RunningMoments()
     block_index = 0
-    while done < samples:
-        k = min(block, samples - done)
+    while moments.count < samples:
+        k = min(block, samples - moments.count)
         rng = stream(seed, block_index)
         pts = region.sample(rng, k)
         if indicator:
@@ -445,18 +546,11 @@ def integrate_mc(
                 vals[mask] = np.asarray(f(pts[mask]), dtype=np.float64)
         else:
             vals = np.asarray(f(pts), dtype=np.float64)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
+        moments.add(vals)
         block_index += 1
-    mean = total / samples
-    if samples > 1:
-        var = max(0.0, (total_sq / samples - mean * mean) * samples / (samples - 1))
-    else:
-        var = 0.0
     return Estimate(
-        value=scale * mean,
-        stderr=scale * math.sqrt(var / samples),
+        value=scale * moments.mean,
+        stderr=scale * moments.stderr,
         samples=samples,
         seed=int(seed),
     )
@@ -658,14 +752,12 @@ def far_region_integral(
         raise ValueError("delta must be positive")
     p = A.meta.p
     region = Region.far_from_lattice(A.m, delta_param)
-    total = 0.0
-    total_sq = 0.0
+    moments = RunningMoments()
     lse_max = -math.inf
     lse_sum = 0.0
-    done = 0
     block_index = 0
-    while done < samples:
-        k = min(block, samples - done)
+    while moments.count < samples:
+        k = min(block, samples - moments.count)
         rng = stream(seed, block_index)
         pts = region.sample(rng, k)
         mask = region.contains(pts)
@@ -685,13 +777,9 @@ def far_region_integral(
                     lse_sum = lse_sum * math.exp(lse_max - fmax) if lse_max > -math.inf else 0.0
                     lse_max = fmax
                 lse_sum += float(np.exp(finite - lse_max).sum())
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
+        moments.add(vals)
         block_index += 1
-    mean = total / samples
-    var = max(0.0, (total_sq / samples - mean * mean) * samples / max(samples - 1, 1))
-    est = Estimate(mean, math.sqrt(var / samples), samples, int(seed))
+    est = Estimate(moments.mean, moments.stderr, samples, int(seed))
     log_mean = (lse_max + math.log(lse_sum) - math.log(samples)) if lse_sum > 0.0 else -math.inf
     p_delta_sq = p * delta_param * delta_param
     return FarRegionReport(

@@ -26,6 +26,7 @@ from .fourier import (
     Estimate,
     FarRegionReport,
     Region,
+    RunningMoments,
     dhat_batch,
     far_region_integral,
     integrate_mc,
@@ -157,49 +158,32 @@ def prob_fourier_mc(
 ) -> Estimate:
     """Monte Carlo inversion integral for Pr[X = lambda] over the cube.
 
-    The real part is the estimate; the imaginary part is accumulated
-    alongside and must vanish within 3 standard errors (it is identically
-    zero for lambda = 0). Point probabilities span many orders of
-    magnitude, so when stderr_target is given the sample budget doubles
-    from one block until the target is met, with `samples` as the hard
-    cap; the Estimate reports the samples actually spent.
+    xhat is real and even in theta, so the integral of the sine part,
+    -xhat(theta) sin(2 pi <lambda, theta>), is exactly zero; only the
+    cosine part is sampled and the estimate is its mean. Point
+    probabilities span many orders of magnitude, so when stderr_target is
+    given the sample budget doubles from one block until the target is
+    met, with `samples` as the hard cap; the Estimate reports the samples
+    actually spent.
     """
-    target = _lambda_array(A, lam)
-    sums = np.zeros(2)
-    sums_sq = np.zeros(2)
-    done = 0
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    target = _lambda_array(A, lam).astype(np.float64)
+    moments = RunningMoments()
     block_index = 0
     checkpoint = block
-
-    def running_stderr() -> np.ndarray:
-        mean = sums / done
-        denom = max(done - 1, 1)
-        var = np.maximum(0.0, (sums_sq / done - mean * mean) * done / denom)
-        return np.sqrt(var / done)
-
-    while done < samples:
-        k = min(block, samples - done)
+    while moments.count < samples:
+        k = min(block, samples - moments.count)
         rng = stream(seed, block_index)
         pts = rng.random((k, A.m)) - 0.5
         xh = xhat_batch(A, smoothing, pts)
-        phase = TWO_PI * (pts @ target.astype(np.float64))
-        re = xh * np.cos(phase)
-        im = -xh * np.sin(phase)
-        sums += (re.sum(), im.sum())
-        sums_sq += ((re * re).sum(), (im * im).sum())
-        done += k
+        moments.add(xh * np.cos(TWO_PI * (pts @ target)))
         block_index += 1
-        if stderr_target is not None and done >= checkpoint:
-            if float(running_stderr()[0]) <= stderr_target:
+        if stderr_target is not None and moments.count >= checkpoint:
+            if moments.stderr <= stderr_target:
                 break
             checkpoint *= 2
-    mean = sums / done
-    stderr = running_stderr()
-    if abs(mean[1]) > max(3.0 * stderr[1], 1e-12):
-        raise RuntimeError(
-            f"imaginary part {mean[1]:.3e} exceeds 3 stderr {stderr[1]:.3e}"
-        )
-    return Estimate(float(mean[0]), float(stderr[0]), done, int(seed))
+    return Estimate(moments.mean, moments.stderr, moments.count, int(seed))
 
 
 def prob_even_variant(A: IncidenceMatrix, samples: int, seed: int) -> Estimate:

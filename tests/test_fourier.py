@@ -1,4 +1,7 @@
 import math
+import multiprocessing as mp
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,6 +165,91 @@ def test_prob_fourier_mc_independent_of_kernel_chunk(monkeypatch):
     for chunk in (1, 50, 4099):
         monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
         assert dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) == base
+
+
+def test_estimates_independent_of_thread_count(monkeypatch):
+    # Same m=8 instance (54 column types); every batch is split across the
+    # pool, over thread counts 1-3 crossed with three chunk bounds.
+    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    counts = A.column_types[1]
+    assert counts.size == 54 and (counts % 2 == 1).any() and (counts % 2 == 0).any()
+    s = dl.build_pmf(1)
+    th = stream(5).random((3000, 8)) - 0.5
+
+    def run():
+        far = dl.far_region_integral(A, 0.1, 3000, 4, include_rhat_delta=1)
+        asm = dl.three_region_assembly(A, s, 2000, 6)
+        return (
+            dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11),
+            (far.estimate, far.log_mean),
+            (asm.central, asm.near, asm.far.estimate, asm.far.log_mean, asm.witness),
+            fr.dhat_batch(A, th).tolist(),
+        )
+
+    base = run()
+    assert min(base[3]) < 0.0 < max(base[3])
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fr, "_worker_count", lambda: workers)
+        for chunk in (1, 50, 4099):
+            monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
+            assert run() == base, (workers, chunk)
+
+
+def test_kernel_concurrent_callers_share_the_pool(monkeypatch):
+    # More callers than cores, each splitting its batches, with pool sizes
+    # that differ between callers so the pool is rebuilt while in use.
+    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    batches = [stream(7, i).random((4000, 8)) - 0.5 for i in range(4)]
+    expected = [fr.dhat_batch(A, th) for th in batches]
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(fr, "KERNEL_CHUNK", 4099)
+    monkeypatch.setattr(fr, "_worker_count",
+                        lambda: 2 + int(threading.current_thread().name[-1]) % 2)
+    results = {}
+
+    def caller(c):
+        for _ in range(2):
+            for i, th in enumerate(batches):
+                results.setdefault((c, i), []).append(fr.dhat_batch(A, th))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(c,), name=f"caller-{c}")
+                   for c in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 5 * len(batches)
+    for (c, i), got in results.items():
+        assert len(got) == 2 and all(np.array_equal(g, expected[i]) for g in got)
+
+
+def test_kernel_pool_rebuilt_in_forked_child():
+    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    th = stream(6).random((4000, 8)) - 0.5
+    expected = fr.dhat_batch(A, th)  # builds the pool in this process
+    ctx = mp.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_dhat_into_queue, args=(A, th, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert np.array_equal(got, expected)
+
+
+def _dhat_into_queue(A, th, queue):
+    queue.put(fr.dhat_batch(A, th))
 
 
 def test_dhat_periodicity_properties():
@@ -417,3 +505,21 @@ def test_estimate_stderr_is_sample_std_over_sqrt_n():
     manual = float(np.std(vals, ddof=1) / math.sqrt(5000))
     assert est.stderr == pytest.approx(manual, rel=1e-12)
     assert est.samples == 5000 and est.seed == 77
+
+
+def test_stderr_stable_when_far_below_mean():
+    # Sum of squares over N minus mean^2 cancels to 0.0 here; the true
+    # stderr is about 9.1e-6.
+    seen = []
+
+    def f(p):
+        vals = 1e8 + 1e-2 * p[:, 0]
+        seen.append(vals)
+        return vals
+
+    est = dl.integrate_mc(f, fr.Region.full_cube(2), 10 ** 5, 1)
+    vals = np.concatenate(seen)
+    dev = vals - vals.mean()
+    two_pass = math.sqrt(float(dev @ dev) / (vals.size - 1) / vals.size)
+    assert two_pass == pytest.approx(9.1e-6, rel=0.01)
+    assert est.stderr == pytest.approx(two_pass, rel=0.01)

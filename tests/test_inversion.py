@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import disclab as dl
+from disclab import fourier as fr
 from disclab import inversion as iv
 from disclab.rng import stream
 from disclab.setsystem import IncidenceMatrix
@@ -80,6 +81,31 @@ def test_prob_fourier_mc_nonzero_lambda():
     A = IncidenceMatrix([[1, 1]])
     est = dl.prob_fourier_mc(A, S1, [2], 400000, 7)
     assert abs(est.value - 0.125) <= max(3 * est.stderr, 1e-3)
+
+
+@pytest.mark.parametrize("m,n", [(2, 10), (4, 1200), (8, 533)])
+def test_xhat_is_even_bitwise(m, n):
+    # Why prob_fourier_mc samples only the cosine part: its sine part is odd.
+    A = dl.sample_bernoulli(m, n, 0.5, 3)
+    th = stream(m, n).random((2000, m)) - 0.5
+    assert np.array_equal(fr.xhat_batch(A, S1, -th), fr.xhat_batch(A, S1, th))
+
+
+def test_prob_fourier_mc_former_random_failure():
+    # Raised "imaginary part 2.782e-03 exceeds 3 stderr 8.810e-04" while the
+    # noise of the (exactly zero) sine part was checked against 3 stderr.
+    A = dl.sample_bernoulli(2, 10, 0.5, 3)
+    est = dl.prob_fourier_mc(A, S1, [1, 1], 2000, 209)
+    exact = float(dl.prob_exact(A, S1, [1, 1]))
+    assert exact == pytest.approx(0.0231934, abs=1e-7)
+    assert abs(est.value - exact) <= 6 * est.stderr
+
+
+def test_prob_fourier_mc_never_fails_at_random():
+    A = dl.sample_bernoulli(2, 10, 0.5, 3)
+    for seed in range(3000):
+        est = dl.prob_fourier_mc(A, S1, [1, 1], 2000, seed)
+        assert math.isfinite(est.value) and est.stderr > 0.0
 
 
 def test_prob_fourier_mc_unreachable_lambda():
