@@ -119,11 +119,14 @@ class TheoremExperimentReport:
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
+        flips = sum(row.flips for row in self.rows)
         return {
             "config": self.config,
             "per_m": {str(k): v for k, v in self.per_m.items()},
             "trials": len(self.rows),
             "runtime_s": round(self.runtime_s, 3),
+            "flips": flips,
+            "flips_per_s": round(flips / self.runtime_s) if self.runtime_s > 0 else None,
         }
 
     def write_csv(self, path: Union[str, Path, io.TextIOBase]) -> None:

@@ -10,6 +10,10 @@ batched into numpy cumulative sums, which keeps the cost per coloring at
 O(m) without a Python-level inner loop and the memory bounded. The full
 law of A x is a dynamic program over the column types instead, whose
 cost grows with the number of distinct values of A x rather than 2^n.
+The random walk draws its flips in blocks and replays each block in
+numpy: per-row running sums over the (flip, row) events give A x after
+every flip, so a flip costs O(degree of its column), as it would in a
+per-flip loop, without one.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ __all__ = [
 
 EXHAUSTIVE_MAX_N = 30
 _CHUNK = 1 << 14
+_DRAW_BLOCK = 8192  # flips per draw of the random walk; part of its per-seed trajectory
+_FIRST_STEP_EVENTS = 1 << 10  # (flip, row) events in the walk's first replay step
+_STEP_EVENTS = 1 << 15  # cap on a replay step's events; each step doubles up to it
 
 
 @dataclass(frozen=True)
@@ -192,38 +199,106 @@ def random_search(A: IncidenceMatrix, target: int, budget: int, seed: int) -> Se
 
     The walk starts from a uniform coloring (trial 1) and flips one
     uniformly chosen sign per trial, so each visited coloring is uniform
-    marginally and a trial costs O(row degree of the flipped column) via
-    incremental row counters. Returns a miss after `budget` trials; a miss
-    is a valid outcome.
+    marginally. Returns a miss after `budget` trials; a miss is a valid
+    outcome.
+
+    The flipped columns are drawn `_DRAW_BLOCK` at a time and each draw
+    is replayed in numpy (`_replay`) over its (flip, row) events, one per
+    set containing the flipped element, so a flip costs O(degree of its
+    column) and no O(m) or O(n) work is done per flip. The coloring,
+    `flips` and `trials` equal those of the plain per-flip loop at every
+    seed. A replay step holds at most max(`_STEP_EVENTS`, m) events, of
+    about 50 bytes each, and one draw of flips: under 2 MB for m <= 2^15,
+    whatever n is. Steps start at `_FIRST_STEP_EVENTS` and double, so a
+    walk that hits early replays few flips past its hit.
     """
     if budget < 1:
         raise ValueError("budget must be at least one trial")
     rng = stream(seed)
     n = A.n
-    supports = [A.column_rows(j).tolist() for j in range(n)]
-    x = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).tolist()
-    D = (A.bits.astype(np.int64) @ np.asarray(x, dtype=np.int64)).tolist()
-    bad = sum(1 for d in D if abs(d) > target)
+    x = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    D = A.bits.astype(np.int32) @ x.astype(np.int32)  # |D_i| <= n
+    bad = int((np.abs(D) > target).sum())
     if bad == 0:
         return _verified(A, Coloring(x), target, flips=0, trials=1)
-    trials = 1
-    draw_block = 8192
-    while trials < budget:
-        remaining = budget - trials
-        js = rng.integers(0, n, size=min(draw_block, remaining)).tolist()
-        for j in js:
-            new = -x[j]
-            x[j] = new
-            dv = 2 * new
-            for i in supports[j]:
-                old = D[i]
-                now = old + dv
-                D[i] = now
-                bad += (abs(now) > target) - (abs(old) > target)
-            trials += 1
-            if bad == 0:
-                return _verified(A, Coloring(x), target, flips=trials - 1, trials=trials)
-    return SearchResult(coloring=None, disc=None, flips=trials - 1, trials=trials)
+    # Column supports in CSR form. Rows and columns are sort keys in the
+    # smallest unsigned type, so that numpy's stable sort is a radix sort.
+    rows = np.nonzero(A.bits.T)[1].astype(np.min_scalar_type(A.m - 1))
+    deg = A.col_sums
+    ptr = np.concatenate(([0], np.cumsum(deg)))
+    col_key = np.min_scalar_type(n - 1)
+    flips = 0
+    step_events = _FIRST_STEP_EVENTS
+    while flips < budget - 1:
+        js = rng.integers(0, n, size=min(_DRAW_BLOCK, budget - 1 - flips)).astype(col_key)
+        ends = np.cumsum(deg[js])
+        lo = 0
+        while lo < js.size:
+            before = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, before + step_events, side="right")))
+            step_events = min(2 * step_events, _STEP_EVENTS)
+            hit, bad = _replay(js[lo:hi], x, D, bad, target, ptr, rows, deg)
+            if hit:
+                flips += lo + hit
+                return _verified(A, Coloring(x), target, flips=flips, trials=flips + 1)
+            lo = hi
+        flips += js.size
+    return SearchResult(coloring=None, disc=None, flips=flips, trials=flips + 1)
+
+
+def _replay(js, x, D, bad, target, ptr, rows, deg) -> Tuple[int, int]:
+    """Apply the flips of columns js to the coloring x and its D = A x.
+
+    Stops after the first flip that leaves no row with |D_i| > target and
+    returns (that flip's 1-based position, 0); returns (0, rows still
+    bad) when no flip does. x, D and bad advance to the stopping state,
+    except that D is stale after a hit (the walk then ends).
+    """
+    k = js.size
+    # New sign of each flip: minus the column's sign before this step,
+    # times -1 per earlier flip of the same column in the step.
+    order = np.argsort(js, kind="stable")
+    by_col = js[order]
+    pos = np.arange(k, dtype=np.int32)
+    first = np.ones(k, dtype=bool)
+    np.not_equal(by_col[1:], by_col[:-1], out=first[1:])
+    earlier = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    step = np.empty(k, dtype=np.int8)
+    step[order] = (4 * (earlier & 1) - 2).astype(np.int8) * x[by_col]  # 2 * new sign
+    # One event per (flip, row of the flipped column), in flip order.
+    d = deg[js]
+    ends = np.cumsum(d)
+    total = int(ends[-1])
+    if total == 0:
+        return 0, bad  # only empty columns were flipped
+    ev_row = rows[np.arange(total) - np.repeat(ends - d - ptr[js], d)]
+    ev_step = np.repeat(step, d)
+    # D_i after each event: running sums per row; the stable sort keeps
+    # each row's events in flip order.
+    by_row = np.argsort(ev_row, kind="stable")
+    r = ev_row[by_row]
+    s = ev_step[by_row]
+    run = np.cumsum(s, dtype=np.int32)
+    starts = np.ones(total, dtype=bool)
+    np.not_equal(r[1:], r[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    sizes = np.diff(np.append(starts, total))
+    now = run + np.repeat(D[r[starts]] - (run[starts] - s[starts]), sizes)
+    bad_change = (np.abs(now) > target).view(np.int8) - (np.abs(now - s) > target).view(np.int8)
+    per_event = np.empty(total, dtype=np.int8)
+    per_event[by_row] = bad_change
+    bad_after = bad + np.concatenate(([0], np.cumsum(per_event, dtype=np.int32)))[ends]
+    hit = np.flatnonzero(bad_after == 0)
+    if hit.size:
+        t = int(hit[0]) + 1
+        x[np.bincount(js[:t], minlength=x.size) & 1 == 1] *= -1
+        return t, 0
+    last = np.append(starts[1:], total) - 1
+    D[r[last]] = now[last]
+    groups = np.flatnonzero(first)
+    odd = np.diff(np.append(groups, k)) & 1 == 1
+    x[by_col[groups[odd]]] *= -1
+    return 0, int(bad_after[-1])
 
 
 def local_search(

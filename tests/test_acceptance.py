@@ -8,11 +8,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import disclab as dl
 from disclab import fourier as fr
-from disclab import suites
 from disclab.harness import ExperimentConfig, run_theorem_experiment
 from disclab.rng import child_seed, stream
 from disclab.smoothing import ParitySmoother
@@ -27,11 +25,6 @@ def report(num, name, passed, extra=""):
         line += f" ({extra})"
     print(line)
     assert passed, line
-
-
-@pytest.fixture(scope="module")
-def decay_report():
-    return suites.suite_decay(seed=SEED)
 
 
 def test_criterion_01_inversion_oracle_equivalence():
@@ -68,8 +61,8 @@ def test_criterion_02_dhat_product_vs_bruteforce():
            f"worst gap {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_03_smoothing_bound_suite():
-    rep = suites.suite_smoothing(seed=SEED)
+def test_criterion_03_smoothing_bound_suite(seed42_suite):
+    rep = seed42_suite("smoothing")
     bound_checks = [c for c in rep.checks
                     if "bound" in c.name or c.name.startswith("shift_ratio")]
     failures = [c.name for c in rep.checks if not c.passed]
@@ -78,8 +71,8 @@ def test_criterion_03_smoothing_bound_suite():
            f"{rep.checks_run} checks, failures {failures}")
 
 
-def test_criterion_04_spike_dominance():
-    rep = suites.suite_spike(seed=SEED)
+def test_criterion_04_spike_dominance(seed42_suite):
+    rep = seed42_suite("spike")
     failures = [c.name for c in rep.checks if not c.passed]
     per_m = [c for c in rep.checks if c.name.startswith("smoother_spike_dominance_m")]
     points = min((c.detail or {}).get("points", 0) for c in per_m)
@@ -90,8 +83,8 @@ def test_criterion_04_spike_dominance():
            f"min margin {rep.worst_margin():.2e}, failures {failures}")
 
 
-def test_criterion_05_one_factor_decay(decay_report):
-    lemma_checks = [c for c in decay_report.checks if c.name.startswith("one_factor")]
+def test_criterion_05_one_factor_decay(seed42_suite):
+    lemma_checks = [c for c in seed42_suite("decay").checks if c.name.startswith("one_factor")]
     failures = [c.name for c in lemma_checks if not c.passed]
     cases = sum((c.detail or {}).get("cases", 0) for c in lemma_checks)
     report(5, "one-column decay bounds (exact 2^m, 1000 cases per bound, c=1e-3)",
@@ -99,16 +92,16 @@ def test_criterion_05_one_factor_decay(decay_report):
            f"failures {failures}")
 
 
-def test_criterion_06_far_region_decay(decay_report):
-    far = next(c for c in decay_report.checks if c.name == "far_region_bound")
+def test_criterion_06_far_region_decay(seed42_suite):
+    far = next(c for c in seed42_suite("decay").checks if c.name == "far_region_bound")
     frac = (far.detail or {})["fraction_within_bound"]
     report(6, "far-region integral within exp(-p delta^2 n / 24), decaying in n",
            far.passed and frac >= 0.9,
            f"fraction {frac:.2f}, log means {far.detail['mean_log_integrals_by_n']}")
 
 
-def test_criterion_07_gaussian_comparator():
-    rep = suites.suite_gaussian(seed=SEED)
+def test_criterion_07_gaussian_comparator(seed42_suite):
+    rep = seed42_suite("gaussian")
     ball = [c for c in rep.checks if c.name.startswith("ball_integral")]
     failures = [c.name for c in ball if not c.passed]
     report(7, "Gaussian ball integral >= density floor (m in {2,3}, r in {1,4})",

@@ -65,6 +65,10 @@ def test_theorem_experiment_reproducible_across_threads(tmp_path):
     assert p1.read_bytes() == p4.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "m,n,p,C,trial,seed,solver,budget,found,disc,flips"
+    d1, d4 = r1.to_dict(), r4.to_dict()
+    assert d1["flips"] == d4["flips"] == sum(row.flips for row in r1.rows) > 0
+    for d in (d1, d4):
+        assert d["flips_per_s"] > 0
 
 
 def test_success_rate_monotone_in_n():

@@ -130,6 +130,91 @@ def test_coloring_disc_counts_total():
         assert counts[tuple(-v for v in vec)] == c
 
 
+def loop_random_search(A, target, budget, seed):
+    """The plain per-flip walk: the reference random_search must equal."""
+    rng = stream(seed)
+    n = A.n
+    supports = [A.column_rows(j).tolist() for j in range(n)]
+    x = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).tolist()
+    D = (A.bits.astype(np.int64) @ np.asarray(x, dtype=np.int64)).tolist()
+    bad = sum(1 for d in D if abs(d) > target)
+    trials = 1
+    while bad and trials < budget:
+        for j in rng.integers(0, n, size=min(8192, budget - trials)).tolist():
+            x[j] = -x[j]
+            for i in supports[j]:
+                old = D[i]
+                D[i] += 2 * x[j]
+                bad += (abs(D[i]) > target) - (abs(old) > target)
+            trials += 1
+            if bad == 0:
+                break
+    if bad:
+        return sv.SearchResult(coloring=None, disc=None, flips=trials - 1, trials=trials)
+    coloring = dl.Coloring(x)
+    return sv.SearchResult(coloring=coloring, disc=dl.disc_of_coloring(A, coloring),
+                           flips=trials - 1, trials=trials)
+
+
+def assert_same_walk(A, target, budget, seed):
+    got = dl.random_search(A, target, budget, seed)
+    want = loop_random_search(A, target, budget, seed)
+    assert (got.flips, got.trials, got.disc) == (want.flips, want.trials, want.disc)
+    assert (got.coloring is None) == (want.coloring is None)
+    if want.found:
+        assert np.array_equal(got.coloring.signs, want.coloring.signs)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 150), p=st.sampled_from([0.05, 0.5, 0.95]),
+       target=st.integers(0, 2), budget=st.sampled_from([1, 2, 8191, 8192, 8193, 20000]),
+       inst_seed=st.integers(0, 2 ** 62), seed=st.integers(0, 2 ** 62))
+def test_random_search_equals_per_flip_loop(m, n, p, target, budget, inst_seed, seed):
+    assert_same_walk(dl.sample_bernoulli(m, n, p, inst_seed), target, budget, seed)
+
+
+def flips_drawn(n, budget, seed):
+    """The column indices the walk draws from its stream, in flip order."""
+    rng = stream(seed)
+    rng.integers(0, 2, size=n, dtype=np.int8)
+    return np.concatenate([rng.integers(0, n, size=min(8192, budget - 1 - lo))
+                           for lo in range(0, budget - 1, 8192)])
+
+
+def test_random_search_equals_loop_on_edge_cases():
+    # zero columns: their flips change no row; the zero matrix needs no flip
+    res = assert_same_walk(IncidenceMatrix([[1, 0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0, 0]]),
+                           0, 20000, seed=5)
+    assert res.found and res.flips > 0
+    assert assert_same_walk(IncidenceMatrix(np.zeros((3, 4), dtype=int)), 0, 10, 1).trials == 1
+    # the all-ones matrix: odd n misses target 0 by parity, hits target 1
+    ones = IncidenceMatrix(np.ones((4, 9), dtype=int))
+    assert not assert_same_walk(ones, 0, 20000, seed=6).found
+    assert assert_same_walk(ones, 1, 20000, seed=2).flips > 0
+    # [[1]] at target 0: a parity miss after the whole budget, over three draws
+    res = assert_same_walk(IncidenceMatrix([[1]]), 0, 20000, seed=7)
+    assert not res.found and res.trials == 20000
+    # a hit on trial 1
+    A = dl.sample_bernoulli(7, 12, 0.5, 5)
+    res = assert_same_walk(A, 1, 20000, seed=0)
+    assert res.found and res.trials == 1
+    # a column flipped three or more times in the draw that holds the hit
+    res = assert_same_walk(A, 1, 20000, seed=3)
+    assert res.found
+    assert np.bincount(flips_drawn(A.n, 20000, 3)[:res.flips]).max() >= 3
+    # a hit on the last flip of a draw: 20 disjoint pairs, each balanced
+    # when its two signs differ, all balanced first after flip 8192 at seed 18
+    pairs = [(1, 0), (3, 2), (4, 7), (5, 8), (6, 10), (9, 13), (11, 15), (12, 16), (14, 17),
+             (20, 18), (21, 19), (24, 22), (25, 23), (29, 26), (31, 27), (32, 28), (33, 30),
+             (34, 35), (36, 37), (38, 39)]
+    bits = np.zeros((len(pairs), 40), dtype=int)
+    for i, pair in enumerate(pairs):
+        bits[i, pair] = 1
+    res = assert_same_walk(IncidenceMatrix(bits), 0, 20000, seed=18)
+    assert res.found and res.flips == 8192
+
+
 def test_random_search_trivial_target():
     A = dl.sample_bernoulli(3, 10, 0.5, 1)
     res = dl.random_search(A, 10, 1, seed=4)
