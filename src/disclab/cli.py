@@ -2,7 +2,7 @@
 
 Subcommands: gen, disc, invert, fourier, verify, experiment. Global flags
 --seed, --threads and --out are accepted by every subcommand; --threads
-sets the trial threads of `experiment theorem` and is ignored elsewhere.
+has no effect (it is only echoed in the `experiment theorem` config).
 Exit codes: 0 success, 1 check failure or runtime error (RuntimeError,
 MemoryError), 2 usage error.
 """
@@ -33,9 +33,9 @@ EXIT_USAGE = 2
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42, help="root RNG seed (default 42)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads over the trials of `experiment theorem`; "
-                          "results do not depend on it, and on 2 vCPUs 1 thread "
-                          "measured fastest. Ignored by the other subcommands (default 1)")
+                     help="accepted for compatibility and has no effect: trials "
+                          "run one after another; `experiment theorem` echoes it "
+                          "in its config (default 1)")
     sub.add_argument("--out", type=str, default=None, help="output file (default stdout)")
 
 

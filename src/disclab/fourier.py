@@ -12,6 +12,8 @@ exp(-745); an exactly zero factor gives zero), because thousands of
 sub-unit factors would underflow a naive product. All integrals here are
 Monte Carlo over regions of the fundamental cube [-1/2, 1/2)^m, with a
 fixed block structure so estimates depend only on (seed, samples).
+`integrate_mc` is the one Monte Carlo engine: every estimator in the
+package (here and in `inversion`) is an integrand passed to it.
 
 Large batches of the transform kernel are split by rows over every core
 the process may run on (a process-wide thread pool, built on first use).
@@ -522,12 +524,16 @@ def integrate_mc(
     samples: int,
     seed: int,
     block: int = MC_BLOCK,
+    stderr_target: Optional[float] = None,
 ) -> Estimate:
     """Unbiased Monte Carlo estimate of the integral of f over the region.
 
     f maps a (k, m) batch of points to (k,) values. Block b draws from the
     derived stream (seed, b) and partial sums are reduced in block order,
     so the estimate depends only on (seed, samples), never on scheduling.
+    When stderr_target is given, the budget doubles from one block until
+    the reported stderr (scaled by the region volume) meets it, with
+    `samples` as the hard cap; the Estimate reports the samples spent.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -535,6 +541,7 @@ def integrate_mc(
     scale = 1.0 if indicator else region.volume()  # indicator: cube volume is 1
     moments = RunningMoments()
     block_index = 0
+    checkpoint = block
     while moments.count < samples:
         k = min(block, samples - moments.count)
         rng = stream(seed, block_index)
@@ -548,10 +555,14 @@ def integrate_mc(
             vals = np.asarray(f(pts), dtype=np.float64)
         moments.add(vals)
         block_index += 1
+        if stderr_target is not None and moments.count >= checkpoint:
+            if scale * moments.stderr <= stderr_target:
+                break
+            checkpoint *= 2
     return Estimate(
         value=scale * moments.mean,
         stderr=scale * moments.stderr,
-        samples=samples,
+        samples=moments.count,
         seed=int(seed),
     )
 
@@ -735,14 +746,15 @@ def far_region_integral(
     delta_param: float,
     samples: int,
     seed: int,
-    block: int = MC_BLOCK,
     include_rhat_delta: Optional[int] = None,
 ) -> FarRegionReport:
     """Estimate the integral of |dhat| over points at lattice distance >= delta.
 
-    Uniform cube sampling with exact indicator accounting. The report
-    carries the comparison value exp(-p delta^2 n / 24) and the two side
-    conditions p delta^2 / 6 <= 1 and p delta^2 <= FAR_SIDE_C. When
+    One `integrate_mc` call over `Region.far_from_lattice` (uniform cube
+    sampling with exact indicator accounting). The integrand also keeps a
+    running log-sum-exp of the per-sample log values for `log_mean`. The
+    report carries the comparison value exp(-p delta^2 n / 24) and the two
+    side conditions p delta^2 / 6 <= 1 and p delta^2 <= FAR_SIDE_C. When
     include_rhat_delta is given, the integrand is |xhat| for that smoother
     width instead of |dhat|.
     """
@@ -751,35 +763,26 @@ def far_region_integral(
     if delta_param <= 0.0:
         raise ValueError("delta must be positive")
     p = A.meta.p
-    region = Region.far_from_lattice(A.m, delta_param)
-    moments = RunningMoments()
     lse_max = -math.inf
     lse_sum = 0.0
-    block_index = 0
-    while moments.count < samples:
-        k = min(block, samples - moments.count)
-        rng = stream(seed, block_index)
-        pts = region.sample(rng, k)
-        mask = region.contains(pts)
-        vals = np.zeros(k, dtype=np.float64)
-        if mask.any():
-            la = dhat_log_abs_batch(A, pts[mask])
-            if include_rhat_delta is not None:
-                with np.errstate(divide="ignore"):
-                    la = la + include_rhat_delta * np.log(
-                        0.5 + 0.5 * np.cos(TWO_PI * pts[mask])
-                    ).sum(axis=1)
-            vals[mask] = _exp_clamped(la)
-            finite = la[la > -math.inf]
-            if finite.size:
-                fmax = float(finite.max())
-                if fmax > lse_max:
-                    lse_sum = lse_sum * math.exp(lse_max - fmax) if lse_max > -math.inf else 0.0
-                    lse_max = fmax
-                lse_sum += float(np.exp(finite - lse_max).sum())
-        moments.add(vals)
-        block_index += 1
-    est = Estimate(moments.mean, moments.stderr, samples, int(seed))
+
+    def abs_integrand(pts: np.ndarray) -> np.ndarray:
+        nonlocal lse_max, lse_sum
+        la = dhat_log_abs_batch(A, pts)
+        if include_rhat_delta is not None:
+            with np.errstate(divide="ignore"):
+                la = la + include_rhat_delta * np.log(
+                    0.5 + 0.5 * np.cos(TWO_PI * pts)
+                ).sum(axis=1)
+        finite = la[la > -math.inf]
+        if finite.size:
+            fmax = max(lse_max, float(finite.max()))
+            lse_sum = lse_sum * math.exp(lse_max - fmax) + float(np.exp(finite - fmax).sum())
+            lse_max = fmax
+        return _exp_clamped(la)
+
+    est = integrate_mc(abs_integrand, Region.far_from_lattice(A.m, delta_param),
+                       samples, seed)
     log_mean = (lse_max + math.log(lse_sum) - math.log(samples)) if lse_sum > 0.0 else -math.inf
     p_delta_sq = p * delta_param * delta_param
     return FarRegionReport(

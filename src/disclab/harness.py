@@ -3,8 +3,7 @@ scale, the tiny-instance counting probe, and the suite runner.
 
 Every output embeds the full configuration and root seed; per-trial work
 is keyed by (seed, m, trial) streams so reruns reproduce byte-identical
-numeric fields regardless of the worker count, and the collector writes
-rows in trial order.
+numeric fields, and trials run in one loop in trial order.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -52,7 +50,9 @@ class ExperimentConfig:
     """Parameters of one regime experiment.
 
     n is always derived from (C, m); budget means random-walk trials for
-    the random solver and per-restart flips for the local solver.
+    the random solver and per-restart flips for the local solver. threads
+    is recorded in the configuration and has no effect: trials run one
+    after another, since a thread pool over them gained nothing reliable.
     """
 
     m_list: Sequence[int]
@@ -167,12 +167,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremExperimentReport:
     per_m: Dict[int, dict] = {}
     for m in cfg.m_list:
         n = derived_n(cfg.C, m)
-        jobs = range(cfg.trials)
-        if cfg.threads > 1 and cfg.trials > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(lambda k: _run_one_trial(cfg, m, n, k), jobs))
-        else:
-            results = [_run_one_trial(cfg, m, n, k) for k in jobs]
+        results = [_run_one_trial(cfg, m, n, k) for k in range(cfg.trials)]
         m_rows = [row for row, _ in results]
         rows.extend(m_rows)
         successes = sum(r.found for r in m_rows)

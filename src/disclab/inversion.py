@@ -22,17 +22,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fourier import (
-    MC_BLOCK,
     Estimate,
     FarRegionReport,
     Region,
-    RunningMoments,
     dhat_batch,
     far_region_integral,
     integrate_mc,
     xhat_batch,
 )
-from .rng import child_seed, stream
+from .rng import child_seed
 from .setsystem import IncidenceMatrix
 from .smoothing import ParitySmoother, SmoothingSpec
 from .solvers import coloring_disc_counts
@@ -153,37 +151,27 @@ def prob_fourier_mc(
     lam,
     samples: int,
     seed: int,
-    block: int = MC_BLOCK,
     stderr_target: Optional[float] = None,
 ) -> Estimate:
     """Monte Carlo inversion integral for Pr[X = lambda] over the cube.
 
-    xhat is real and even in theta, so the integral of the sine part,
-    -xhat(theta) sin(2 pi <lambda, theta>), is exactly zero; only the
-    cosine part is sampled and the estimate is its mean. Point
-    probabilities span many orders of magnitude, so when stderr_target is
-    given the sample budget doubles from one block until the target is
-    met, with `samples` as the hard cap; the Estimate reports the samples
-    actually spent.
+    One `integrate_mc` call over the full cube. xhat is real and even in
+    theta, so the integral of the sine part, -xhat(theta) sin(2 pi
+    <lambda, theta>), is exactly zero; the integrand is the cosine part
+    xhat(theta) cos(2 pi <lambda, theta>) alone. Point probabilities span
+    many orders of magnitude, so stderr_target is passed on to the
+    engine's adaptive stop: the budget doubles from one block until the
+    target is met, with `samples` as the hard cap, and the Estimate
+    reports the samples actually spent.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
     target = _lambda_array(A, lam).astype(np.float64)
-    moments = RunningMoments()
-    block_index = 0
-    checkpoint = block
-    while moments.count < samples:
-        k = min(block, samples - moments.count)
-        rng = stream(seed, block_index)
-        pts = rng.random((k, A.m)) - 0.5
-        xh = xhat_batch(A, smoothing, pts)
-        moments.add(xh * np.cos(TWO_PI * (pts @ target)))
-        block_index += 1
-        if stderr_target is not None and moments.count >= checkpoint:
-            if moments.stderr <= stderr_target:
-                break
-            checkpoint *= 2
-    return Estimate(moments.mean, moments.stderr, moments.count, int(seed))
+    return integrate_mc(
+        lambda pts: xhat_batch(A, smoothing, pts) * np.cos(TWO_PI * (pts @ target)),
+        Region.full_cube(A.m),
+        samples,
+        seed,
+        stderr_target=stderr_target,
+    )
 
 
 def prob_even_variant(A: IncidenceMatrix, samples: int, seed: int) -> Estimate:

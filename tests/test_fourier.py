@@ -344,6 +344,30 @@ def test_integrate_mc_deterministic_and_block_invariant():
     assert abs(c.value - a.value) <= 3 * (a.stderr + c.stderr)
 
 
+def test_integrate_mc_adaptive_stop_reports_scaled_stderr():
+    region = fr.Region.quarter_cube(3)  # volume 1/8
+    f = lambda p: np.cos(2 * np.pi * p[:, 0]) + p[:, 1]  # noqa: E731
+    fixed = {c: dl.integrate_mc(f, region, c, 4, block=1000) for c in range(1000, 5000, 1000)}
+    # met first after 3000 samples, which is not a checkpoint (1000, 2000, 4000, ...);
+    # the unscaled stderr at 4000 samples (8x the reported one) is far above it
+    target = fixed[3000].stderr * 1.0001
+    assert min(fixed[1000].stderr, fixed[2000].stderr) > target >= fixed[4000].stderr
+    assert fixed[4000].stderr * 8 > target
+    drawn = []
+
+    def counted(p):
+        drawn.append(len(p))
+        return f(p)
+
+    est = dl.integrate_mc(counted, region, 10 ** 6, 4, block=1000, stderr_target=target)
+    assert est == fixed[4000]
+    assert est.samples == sum(drawn) == 4000
+    # an unreachable target spends the whole cap, including its partial block
+    capped = dl.integrate_mc(f, region, 5500, 4, block=1000, stderr_target=1e-12)
+    assert capped == dl.integrate_mc(f, region, 5500, 4, block=1000)
+    assert capped.samples == 5500
+
+
 def test_region_membership_indicator_kinds():
     far = fr.Region.far_from_lattice(2, 0.1)
     near = fr.Region.near_lattice_shells(2, 0.1)
@@ -453,6 +477,13 @@ def test_far_region_integral_and_bound():
     assert rep.estimate.value + 3 * rep.estimate.stderr <= rep.bound
     assert rep.log_mean < 0.0
     assert rep.bound == pytest.approx(math.exp(-0.5 * delta ** 2 * 1000 / 24))
+
+
+def test_far_region_integral_rejects_nonpositive_samples():
+    A = dl.sample_bernoulli(3, 50, 0.5, 1)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            dl.far_region_integral(A, 0.1, samples, 1)
 
 
 def test_far_region_zero_matrix_calibration_path():
