@@ -15,10 +15,14 @@ fixed block structure so estimates depend only on (seed, samples).
 `integrate_mc` is the one Monte Carlo engine: every estimator in the
 package (here and in `inversion`) is an integrand passed to it.
 
-Large batches of the transform kernel are split by rows over every core
-the process may run on (a process-wide thread pool, built on first use).
-Each row is computed the same way whichever thread computes it, so every
-value, and every estimate built on it, is the same at any core count.
+The per-point work of every Monte Carlo integrand is split by rows over
+every core the process may run on (a process-wide thread pool, built on
+first use): `_map_rows` evaluates the kernel with its clamped exp
+(`dhat_batch`, `dhat_log_abs_batch`), the smoother's transform in
+`xhat_batch`, the near-shell factor of the assembly and the far region's
+smoother log-values slice by slice. Each row is computed the same way
+whichever thread computes it and whatever slice holds it, so every value,
+and every estimate built on it, is the same at any core count.
 """
 
 from __future__ import annotations
@@ -78,13 +82,15 @@ TWO_PI = 2.0 * math.pi
 # Sum of log|cos| below this is treated as total underflow.
 LOG_CLAMP = -745.0
 
-# Points x column types in flight in the transform kernel, summed over all
-# its threads: bounds its memory for any n and any core count.
+# Points x column types in flight in a row-split batch (the transform
+# kernel and the per-point work around it), summed over all threads: bounds
+# its memory for any n and any core count.
 KERNEL_CHUNK = 1 << 22
 
-# Batches of fewer points x column types than this (about a millisecond of
-# work) run on the calling thread alone: below it, waking the pool's threads
-# cost more than they saved on 2 cores, and single points never pay it.
+# Row-split batches of fewer points x column types than this (about a
+# millisecond of work) run on the calling thread alone: below it, waking the
+# pool's threads cost more than they saved on 2 cores, and single points
+# never pay it.
 PARALLEL_MIN_WORK = 1 << 15
 
 # Calibrated constant for the quadratic approximation of log dhat: smallest
@@ -283,19 +289,29 @@ def d2_to_punctured_lattice(theta) -> float:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
-def _kernel_rows(thetas, V, odd, weights, sign, log_abs, rows: slice) -> None:
-    """Write sign and log|.| of the given rows of thetas into sign / log_abs."""
-    c = np.einsum("bi,ik->bk", thetas[rows], V)
-    np.cos(np.multiply(c, TWO_PI, out=c), out=c)
-    sign[rows] = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
-    with np.errstate(divide="ignore"):
-        np.log(np.abs(c, out=c), out=c)
-    c *= weights
-    log_abs[rows] = c.sum(axis=1)
+def _kernel(V: np.ndarray, counts: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """log|.| (unclamped) and sign of prod_v cos(2 pi <V^v, theta>)^counts[v],
+    as a function of a (k, m) batch of theta rows.
+
+    Inner products are summed over the rows of V in order (einsum; BLAS
+    blocking depends on the shape), so no row depends on the batch that
+    holds it.
+    """
+    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+
+    def rows(thetas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        c = np.einsum("bi,ik->bk", thetas, V)
+        np.cos(np.multiply(c, TWO_PI, out=c), out=c)
+        sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(c, out=c), out=c)
+        c *= weights
+        return c.sum(axis=1), sign
+    return rows
 
 
 def _worker_count() -> int:
-    """Threads the kernel splits a batch over: every core the process may use."""
+    """Threads a batch is split over: every core the process may use."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -303,6 +319,7 @@ def _worker_count() -> int:
 
 _pool_lock = threading.Lock()
 _pool: Optional[Tuple[int, int, ThreadPoolExecutor]] = None  # (pid, workers, pool)
+_in_slice = threading.local()  # .active: this thread is evaluating a slice
 
 
 def _kernel_pool(workers: int) -> ThreadPoolExecutor:
@@ -320,54 +337,77 @@ def _kernel_pool(workers: int) -> ThreadPoolExecutor:
         return _pool[2]
 
 
-def _sign_log_abs(thetas, V: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sign and unclamped log|.| of prod_v cos(2 pi <V^v, theta>)^counts[v] per row.
-
-    Inner products are summed over the rows of V in order (einsum; BLAS
-    blocking depends on the shape), so no row depends on the slicing or on
-    the thread that computes it. A batch of at least PARALLEL_MIN_WORK
-    points x types is cut into slices that the calling thread and the
-    kernel pool share, the caller taking every T-th of the T threads'
-    slices; each slice is at most KERNEL_CHUNK / T points x types, so at
-    most KERNEL_CHUNK are in flight at once.
-    """
+def _theta_rows(thetas, m: int) -> np.ndarray:
+    """A batch of theta rows (or one theta) as a contiguous (B, m) float array."""
     thetas = np.asarray(getattr(thetas, "coords", thetas), dtype=np.float64)
     thetas = np.ascontiguousarray(np.atleast_2d(thetas))
-    if thetas.shape[-1] != V.shape[0]:
-        raise ValueError(f"theta dimension {thetas.shape[-1]} != m={V.shape[0]}")
-    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-    points, types = thetas.shape[0], max(V.shape[1], 1)
-    sign, log_abs = np.empty((2, points))
-    workers = _worker_count() if points * types >= PARALLEL_MIN_WORK else 1
+    if thetas.shape[-1] != m:
+        raise ValueError(f"theta dimension {thetas.shape[-1]} != m={m}")
+    return thetas
+
+
+def _map_rows(fn: Callable[[np.ndarray], np.ndarray], A: IncidenceMatrix, thetas) -> np.ndarray:
+    """fn over row slices of a batch of theta rows for A, on every core: (B,).
+
+    fn maps k rows to k values, each row's computed from that row alone and
+    the same way in any slice, so no value depends on the slicing or on the
+    thread. Work is counted in points x column types of A. A batch of at
+    least PARALLEL_MIN_WORK is cut into slices that the calling thread and
+    the kernel pool share, the caller taking every T-th of the T threads'
+    slices; each slice is at most KERNEL_CHUNK / T points x types, so at
+    most KERNEL_CHUNK are in flight at once. A call made inside a slice
+    runs on that slice's thread, with no second split.
+    """
+    thetas = _theta_rows(thetas, A.m)
+    points, types = thetas.shape[0], max(A.column_types[0].shape[1], 1)
+    out = np.empty(points)
+    nested = getattr(_in_slice, "active", False)
+    workers = 1 if nested or points * types < PARALLEL_MIN_WORK else _worker_count()
     # Equal slices of at most cap rows, in whole rounds of one per thread.
     cap = max(1, KERNEL_CHUNK // (workers * types))
     rounds = max(1, -(-points // (workers * cap)))
     step = max(1, -(-points // (workers * rounds)))
     slices = [slice(lo, lo + step) for lo in range(0, points, step)]
-    args = (thetas, V, odd, weights, sign, log_abs)
+
+    def run(part: slice) -> None:
+        _in_slice.active = True
+        try:
+            out[part] = fn(thetas[part])
+        finally:
+            _in_slice.active = nested
+
     futures = []
     if workers > 1 and len(slices) > 1:
         pool = _kernel_pool(workers)
-        futures = [pool.submit(_kernel_rows, *args, part)
-                   for i, part in enumerate(slices) if i % workers]
+        futures = [pool.submit(run, part) for i, part in enumerate(slices) if i % workers]
     try:
         for part in slices[::workers]:
-            _kernel_rows(*args, part)
+            run(part)
     finally:
         for f in futures:  # also when the caller's share raised: no writes after return
             f.result()
-    return sign, log_abs
+    return out
 
 
 def _exp_clamped(la: np.ndarray, sign=1.0) -> np.ndarray:
-    """sign * exp(la), la clamped at LOG_CLAMP; exactly zero where la is -inf."""
-    return np.where(la == -math.inf, 0.0, sign * np.exp(np.maximum(la, LOG_CLAMP)))
+    """sign * exp(la), la clamped at LOG_CLAMP; exactly zero where la is -inf.
+
+    Where la <= LOG_CLAMP the value is the constant exp(LOG_CLAMP), the
+    smallest subnormal: exp is evaluated only on the other entries, since
+    subnormal results take a slow path costing about 30 times a normal one.
+    """
+    val = np.full(la.shape, math.exp(LOG_CLAMP))
+    live = ~(la <= LOG_CLAMP)  # NaN stays NaN
+    val[live] = np.exp(la[live])
+    return np.where(la == -math.inf, 0.0, sign * val)
 
 
 def dhat_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
-    """Transform of D = A x at a batch of theta rows, shape (B, m) -> (B,)."""
-    sign, la = _sign_log_abs(thetas, *A.column_types)
-    return _exp_clamped(la, sign)
+    """Transform of D = A x at a batch of theta rows, shape (B, m) -> (B,).
+
+    The kernel and the clamped exp of each row run together on one core."""
+    kernel = _kernel(*A.column_types)
+    return _map_rows(lambda part: _exp_clamped(*kernel(part)), A, thetas)
 
 
 def dhat(A: IncidenceMatrix, theta) -> float:
@@ -377,7 +417,8 @@ def dhat(A: IncidenceMatrix, theta) -> float:
 
 def dhat_log_abs_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
     """log |dhat| for a batch, unclamped (-inf where a factor is exactly zero)."""
-    return _sign_log_abs(thetas, *A.column_types)[1]
+    kernel = _kernel(*A.column_types)
+    return _map_rows(lambda part: kernel(part)[0], A, thetas)
 
 
 BRUTEFORCE_MAX_N = 24
@@ -414,25 +455,27 @@ def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
     """|product of the first k column factors|; k = n gives |dhat|."""
     if not (0 <= k <= A.n):
         raise ValueError(f"k must lie in [0, {A.n}]")
-    _, la = _sign_log_abs(_theta_array(theta), A.columns_f64[:, :k],
-                          np.ones(k, dtype=np.int64))
+    la, _ = _kernel(A.columns_f64[:, :k], np.ones(k, dtype=np.int64))(
+        _theta_rows(_theta_array(theta), A.m))
     return float(_exp_clamped(la)[0])
 
 
 Smoother = Union[SmoothingSpec, ParitySmoother]
 
 
-def _rhat_of(smoothing: Smoother, thetas: np.ndarray) -> np.ndarray:
+def _rhat_of(smoothing: Smoother) -> Callable[[np.ndarray], np.ndarray]:
+    """The smoother's transform as a function of a batch of theta rows."""
     if isinstance(smoothing, SmoothingSpec):
-        return rhat_md(smoothing.delta, thetas)
+        return lambda th: rhat_md(smoothing.delta, th)
     if isinstance(smoothing, ParitySmoother):
-        return parity_rhat(smoothing, thetas)
+        return lambda th: parity_rhat(smoothing, th)
     raise TypeError(f"unsupported smoother {type(smoothing)!r}")
 
 
 def xhat_batch(A: IncidenceMatrix, smoothing: Smoother, thetas) -> np.ndarray:
-    th = np.atleast_2d(np.asarray(getattr(thetas, "coords", thetas), dtype=np.float64))
-    return dhat_batch(A, th) * _rhat_of(smoothing, th)
+    """xhat at a batch of theta rows: dhat and rhat, each split across cores."""
+    rhat = _rhat_of(smoothing)
+    return dhat_batch(A, thetas) * _map_rows(rhat, A, thetas)
 
 
 def xhat(A: IncidenceMatrix, smoothing: Smoother, theta) -> float:
@@ -537,6 +580,8 @@ def integrate_mc(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    if block < 1:
+        raise ValueError("block must be positive")
     indicator = region.uses_indicator
     scale = 1.0 if indicator else region.volume()  # indicator: cube volume is 1
     moments = RunningMoments()
@@ -766,14 +811,15 @@ def far_region_integral(
     lse_max = -math.inf
     lse_sum = 0.0
 
+    def log_rhat(pts: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return include_rhat_delta * np.log(0.5 + 0.5 * np.cos(TWO_PI * pts)).sum(axis=1)
+
     def abs_integrand(pts: np.ndarray) -> np.ndarray:
         nonlocal lse_max, lse_sum
         la = dhat_log_abs_batch(A, pts)
         if include_rhat_delta is not None:
-            with np.errstate(divide="ignore"):
-                la = la + include_rhat_delta * np.log(
-                    0.5 + 0.5 * np.cos(TWO_PI * pts)
-                ).sum(axis=1)
+            la = la + _map_rows(log_rhat, A, pts)
         finite = la[la > -math.inf]
         if finite.size:
             fmax = max(lse_max, float(finite.max()))

@@ -25,6 +25,7 @@ from .fourier import (
     Estimate,
     FarRegionReport,
     Region,
+    _map_rows,
     dhat_batch,
     far_region_integral,
     integrate_mc,
@@ -32,7 +33,7 @@ from .fourier import (
 )
 from .rng import child_seed
 from .setsystem import IncidenceMatrix
-from .smoothing import ParitySmoother, SmoothingSpec
+from .smoothing import ParitySmoother, SmoothingSpec, _row_product
 from .solvers import coloring_disc_counts
 
 __all__ = [
@@ -269,16 +270,16 @@ def three_region_assembly(
         child_seed(seed, 0),
     )
 
-    def shell_integrand(pts: np.ndarray) -> np.ndarray:
+    def shifted_rhat_sum(pts: np.ndarray) -> np.ndarray:
         # sum over nonzero shifts s of rhat(theta + s), via the factorized
         # per-coordinate identity; the two half-integer shifts coincide.
-        g0 = (0.5 + 0.5 * np.cos(TWO_PI * pts)) ** delta
-        gh = (0.5 - 0.5 * np.cos(TWO_PI * pts)) ** delta
-        shifted_sum = np.prod(g0 + 2.0 * gh, axis=1) - np.prod(g0, axis=1)
-        return np.abs(dhat_batch(A, pts)) * shifted_sum
+        half_cos = 0.5 * np.cos(TWO_PI * pts)
+        g0 = (0.5 + half_cos) ** delta
+        gh = (0.5 - half_cos) ** delta
+        return _row_product(g0 + 2.0 * gh) - _row_product(g0)
 
     near = integrate_mc(
-        shell_integrand,
+        lambda pts: np.abs(dhat_batch(A, pts)) * _map_rows(shifted_rhat_sum, A, pts),
         Region.origin_ball(A.m, radius),
         samples,
         child_seed(seed, 1),

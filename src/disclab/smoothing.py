@@ -136,11 +136,26 @@ def rhat_1d(delta: int, theta):
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
+def _row_product(factors: np.ndarray) -> np.ndarray:
+    """Product along the last axis, multiplied in order.
+
+    A 2-d batch is multiplied one column at a time, which equals
+    np.prod(axis=-1) bit for bit without its cost of about 25 ns per short
+    row; every row is computed alone, whatever batch holds it.
+    """
+    if factors.ndim != 2:
+        return np.prod(factors, axis=-1)
+    out = np.ones(factors.shape[0])
+    for column in factors.T:
+        out *= column
+    return out
+
+
 def rhat_md(delta: int, theta) -> np.ndarray:
     """Product of 1-d transforms along the last axis (batch friendly)."""
     arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
     base = 0.5 + 0.5 * np.cos(2.0 * np.pi * arr)
-    out = np.prod(base ** delta, axis=-1)
+    out = _row_product(base if delta == 1 else base ** delta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -149,11 +164,7 @@ def parity_rhat(smoother: ParitySmoother, theta) -> np.ndarray:
     arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
     if arr.shape[-1] != smoother.m:
         raise ValueError("theta dimension does not match the smoother")
-    if not smoother.odd_rows:
-        out = np.ones(arr.shape[:-1], dtype=np.float64)
-        return float(out) if out.ndim == 0 else out
-    idx = list(smoother.odd_rows)
-    out = np.prod(np.cos(2.0 * np.pi * arr[..., idx]), axis=-1)
+    out = _row_product(np.cos(2.0 * np.pi * arr[..., list(smoother.odd_rows)]))
     return float(out) if out.ndim == 0 else out
 
 

@@ -554,3 +554,104 @@ def test_stderr_stable_when_far_below_mean():
     two_pass = math.sqrt(float(dev @ dev) / (vals.size - 1) / vals.size)
     assert two_pass == pytest.approx(9.1e-6, rel=0.01)
     assert est.stderr == pytest.approx(two_pass, rel=0.01)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_exp_clamped_matches_the_one_line_formula_bitwise():
+    # exp is skipped at and below LOG_CLAMP; every value, sign and the +0.0
+    # of a zero factor must be what the plain clamped formula gives.
+    clamp = fr.LOG_CLAMP
+    la = np.concatenate([
+        [-math.inf, clamp - 300.0, np.nextafter(clamp, -math.inf), clamp,
+         np.nextafter(clamp, math.inf), clamp + 1e-9, -708.0],
+        np.linspace(clamp, -708.0, 4001),        # subnormal results
+        stream(3).uniform(-708.0, 0.0, 2000),    # normal results
+        [0.0],
+    ])
+    signs = np.where(stream(4).random(la.size) < 0.5, -1.0, 1.0)
+    for sign in (1.0, -1.0, signs):
+        old = np.where(la == -math.inf, 0.0, sign * np.exp(np.maximum(la, clamp)))
+        assert _hex(fr._exp_clamped(la, sign)) == _hex(old)
+    assert _hex(fr._exp_clamped(la)) == _hex(np.where(la == -math.inf, 0.0,
+                                                      np.exp(np.maximum(la, clamp))))
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_integrate_mc_rejects_nonpositive_block(block):
+    with pytest.raises(ValueError, match="block must be positive"):
+        dl.integrate_mc(lambda p: p[:, 0], fr.Region.full_cube(2), 10, 1, block=block)
+
+
+def test_integrands_independent_of_pool_size_and_chunk(monkeypatch):
+    # Every row-split integrand, with both smoother kinds, over pool sizes
+    # 1-3 crossed with three chunk bounds, against the default run.
+    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    parity = dl.ParitySmoother.from_matrix(A)
+    assert 0 < len(parity.odd_rows) < A.m
+    th = stream(8).random((700, 8)) - 0.5
+
+    def run():
+        re, im = dl.cancellation_check([1, 0, 0, 2, 0, 0, 0, 1], 3000, 10)
+        return (
+            _hex(fr.xhat_batch(A, dl.build_pmf(1), th)),
+            _hex(fr.xhat_batch(A, parity, th)),
+            dl.prob_even_variant(A, 1000, 8),
+            (re, im),
+        )
+
+    base = run()
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fr, "_worker_count", lambda: workers)
+        for chunk in (1, 50, 4099):
+            monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
+            assert run() == base, (workers, chunk)
+
+
+def test_integrand_concurrent_callers_do_not_deadlock(monkeypatch):
+    # Callers of xhat_batch and prob_fourier_mc share the pool, and one
+    # split evaluates xhat inside its slices, whose own splits then run on
+    # the slice's thread; pool sizes differ between callers, so the pool is
+    # rebuilt while in use.
+    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    s = dl.build_pmf(1)
+    batches = [stream(9, i).random((3000, 8)) - 0.5 for i in range(3)]
+    expected_x = [fr.xhat_batch(A, s, th) for th in batches]
+    expected_p = dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11)
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(fr, "KERNEL_CHUNK", 4099)
+    monkeypatch.setattr(fr, "_worker_count",
+                        lambda: 2 + int(threading.current_thread().name[-1]) % 2)
+    results = {}
+
+    def caller(c):
+        for _ in range(2):
+            for i, th in enumerate(batches):
+                results.setdefault((c, i), []).append(fr.xhat_batch(A, s, th))
+            results.setdefault((c, "p"), []).append(
+                dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11))
+            results.setdefault((c, "n"), []).append(
+                fr._map_rows(lambda part: fr.xhat_batch(A, s, part), A, batches[0]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(c,), name=f"caller-{c}")
+                   for c in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 5 * (len(batches) + 2)
+    for (c, i), got in results.items():
+        assert len(got) == 2
+        if i == "p":
+            assert all(g == expected_p for g in got)
+        else:
+            assert all(np.array_equal(g, expected_x[0 if i == "n" else i]) for g in got)

@@ -150,3 +150,27 @@ def test_smoother_spike_dominance_small_radius():
         lhs = dl.rhat_md(1, pts)
         rhs = 2 * dl.rhat_md(1, pts[:, None, :] + shifts[None, :, :]).sum(axis=1)
         assert (lhs > rhs).all()
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_rhat_column_product_matches_np_prod_bitwise():
+    # The transforms multiply the columns in order; np.prod(axis=-1) is the
+    # reference, bit for bit, on batches and on single points.
+    rng = stream(31)
+    for m in range(1, 13):
+        th = rng.random((257, m)) - 0.5
+        base = 0.5 + 0.5 * np.cos(2.0 * np.pi * th)
+        for delta in range(4):
+            expected = np.prod(base ** delta, axis=-1)
+            assert _bits(dl.rhat_md(delta, th)) == _bits(expected), (m, delta)
+            one = dl.rhat_md(delta, th[3])
+            assert type(one) is float and _bits(one) == _bits(expected[3]), (m, delta)
+        for odd in ((), tuple(range(0, m, 2)), tuple(range(m))):
+            s = ParitySmoother(m=m, odd_rows=odd)
+            expected = np.prod(np.cos(2.0 * np.pi * th[:, list(odd)]), axis=-1)
+            assert _bits(dl.parity_rhat(s, th)) == _bits(expected), (m, odd)
+            one = dl.parity_rhat(s, th[5])
+            assert type(one) is float and _bits(one) == _bits(expected[5]), (m, odd)
