@@ -9,7 +9,14 @@ coloring factors over the columns of A:
 real-valued and bounded by one. It is evaluated over the distinct column
 types as sign plus a multiplicity-weighted sum of log|cos| (clamped at
 exp(-745); an exactly zero factor gives zero), because thousands of
-sub-unit factors would underflow a naive product. All integrals here are
+sub-unit factors would underflow a naive product. The kernel's cost is
+libm's float64 cos, which numpy evaluates one value at a time. So with
+fewer than TABLE_MIN_TYPES column types (T) each factor is one cos, and
+from there on the factors of a point come from cos and sin tables of the
+subset sums of each half of its coordinates, built by angle addition from
+2m libm calls instead of T. TABLE_MIN_TYPES records the measured
+crossover; `_kernel` gives the accuracy of each path and why no row
+depends on the batch that holds it. All integrals here are
 Monte Carlo over regions of the fundamental cube [-1/2, 1/2)^m, with a
 fixed block structure so estimates depend only on (seed, samples).
 `integrate_mc` is the one Monte Carlo engine: every estimator in the
@@ -86,6 +93,20 @@ LOG_CLAMP = -745.0
 # kernel and the per-point work around it), summed over all threads: bounds
 # its memory for any n and any core count.
 KERNEL_CHUNK = 1 << 22
+
+# Column types from which the transform kernel builds its factors by angle
+# addition instead of one libm cos per type (see _kernel). Measured with one
+# thread over m = 5..10 (Xeon, AVX-512, numpy 2.4): the angle-addition path
+# lost below about 60 types at m >= 8 and tied with one cos per type on
+# points near the origin at 96-114 types (m = 10); from 137 types on it won
+# on cube and ball points at every m.
+TABLE_MIN_TYPES = 128
+
+# Points x column types per block of the angle-addition path: its three
+# (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. On that Xeon with two
+# threads, blocks of 2^15 were 10-25% slower (more Python per value) and
+# 2^17 no faster.
+TABLE_CHUNK = 1 << 16
 
 # Row-split batches of fewer points x column types than this (about a
 # millisecond of work) run on the calling thread alone: below it, waking the
@@ -289,24 +310,101 @@ def d2_to_punctured_lattice(theta) -> float:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
-def _kernel(V: np.ndarray, counts: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """log|.| (unclamped) and sign of prod_v cos(2 pi <V^v, theta>)^counts[v],
-    as a function of a (k, m) batch of theta rows.
+def _half_table(cos_h: np.ndarray, sin_h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi times every subset sum of h coordinates, (2^h, k)
+    each, from their (h, k) cos and sin by angle addition; entry j is the
+    subset of the set bits of j."""
+    c = np.empty((1 << len(cos_h), cos_h.shape[1]))
+    s = np.empty_like(c)
+    c[0], s[0] = 1.0, 0.0
+    for i, (ci, si) in enumerate(zip(cos_h, sin_h)):
+        old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+        np.multiply(c[old], ci, out=c[new])
+        c[new] -= s[old] * si
+        np.multiply(s[old], ci, out=s[new])
+        s[new] += c[old] * si
+    return c, s
 
-    Inner products are summed over the rows of V in order (einsum; BLAS
-    blocking depends on the shape), so no row depends on the batch that
-    holds it.
+
+def _kernel(V: np.ndarray, counts: np.ndarray,
+            signed: bool) -> Callable[[np.ndarray], Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """log|.| (unclamped) and, if signed, the sign of
+    prod_v cos(2 pi <V^v, theta>)^counts[v] over 0/1 columns V^v, as a
+    function of a (k, m) batch of theta rows; the sign is None otherwise.
+
+    The factors come from one of two paths, chosen by the number T of
+    column types. Below TABLE_MIN_TYPES each factor is one libm cos, which
+    dominates the cost; the inner products are summed over the rows of V in
+    order (einsum; BLAS blocking depends on the shape). From
+    TABLE_MIN_TYPES on, the m coordinates are split into halves of
+    h = m // 2 and m - h. For each half, cos and sin of 2 pi times all
+    subset sums are tabulated for the batch by angle addition from one cos
+    and one sin per coordinate, and each type's factor is
+    CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
+    2m libm calls per point instead of T. The four tables may hold at most
+    T values per point (else the libm path is taken), so memory stays
+    within the row split's bound; the per-type work runs in blocks of at
+    most TABLE_CHUNK points x types. This path rounds differently from one
+    cos per factor: near the origin log|dhat| stays within rel 1e-12 of
+    the column product; on the cube its worst error, relative to the
+    conditioning sum_v counts[v] / |cos_v|, is within 4 times the libm
+    path's.
+
+    Every step is elementwise except the reduction, a sum over each row's
+    own contiguous weighted log factors, so on either path a row's value
+    does not depend on the batch that holds it.
     """
     odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+    m, types = V.shape
+    h = m // 2
+    if types < TABLE_MIN_TYPES or (4 << (m - h)) > types:
+        def rows(thetas: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+            c = np.einsum("bi,ik->bk", thetas, V)
+            np.cos(np.multiply(c, TWO_PI, out=c), out=c)
+            sign = None
+            if signed:
+                sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(c, out=c), out=c)
+            c *= weights
+            return c.sum(axis=1), sign
+        return rows
 
-    def rows(thetas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        c = np.einsum("bi,ik->bk", thetas, V)
-        np.cos(np.multiply(c, TWO_PI, out=c), out=c)
-        sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(c, out=c), out=c)
-        c *= weights
-        return c.sum(axis=1), sign
+    # Types in odd-first order, each as its (lo, hi) pair of half-table indices.
+    order = np.argsort(~odd, kind="stable")
+    bits = V[:, order].astype(np.int64)
+    lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
+    hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
+    n_odd, weights = int(odd.sum()), weights[order]
+    step = max(1, TABLE_CHUNK // types)
+
+    def rows(thetas: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        k = thetas.shape[0]
+        ang = thetas.T * TWO_PI
+        cos_t, sin_t = np.cos(ang), np.sin(ang)
+        ca, sa = _half_table(cos_t[:h], sin_t[:h])
+        cb, sb = _half_table(cos_t[h:], sin_t[h:])
+        la = np.empty(k)
+        sign = np.empty(k) if signed else None
+        # Reused by every block: fresh arrays of this size cost page faults.
+        flat = np.empty((3, types * min(k, step)))
+        for a in range(0, k, step):
+            part, points = slice(a, a + step), min(step, k - a)
+            c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
+            # c = CA[lo] CB[hi] - SA[lo] SB[hi]; mode="clip" spares take a
+            # defensive copy of out (every index is in range).
+            np.take(ca[:, part], lo, axis=0, out=c, mode="clip")
+            c *= np.take(cb[:, part], hi, axis=0, out=tmp, mode="clip")
+            np.take(sa[:, part], lo, axis=0, out=s, mode="clip")
+            s *= np.take(sb[:, part], hi, axis=0, out=tmp, mode="clip")
+            c -= s
+            if signed:
+                sign[part] = 1.0 - 2.0 * (np.count_nonzero(c[:n_odd] < 0.0, axis=0) & 1)
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(c, out=c), out=c)
+            weighted = flat[1, :types * points].reshape(points, types)  # s's memory
+            la[part] = np.multiply(c.T, weights, out=weighted).sum(axis=1)
+        return la, sign
     return rows
 
 
@@ -406,7 +504,7 @@ def dhat_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
     """Transform of D = A x at a batch of theta rows, shape (B, m) -> (B,).
 
     The kernel and the clamped exp of each row run together on one core."""
-    kernel = _kernel(*A.column_types)
+    kernel = _kernel(*A.column_types, signed=True)
     return _map_rows(lambda part: _exp_clamped(*kernel(part)), A, thetas)
 
 
@@ -417,7 +515,7 @@ def dhat(A: IncidenceMatrix, theta) -> float:
 
 def dhat_log_abs_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
     """log |dhat| for a batch, unclamped (-inf where a factor is exactly zero)."""
-    kernel = _kernel(*A.column_types)
+    kernel = _kernel(*A.column_types, signed=False)
     return _map_rows(lambda part: kernel(part)[0], A, thetas)
 
 
@@ -455,7 +553,7 @@ def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
     """|product of the first k column factors|; k = n gives |dhat|."""
     if not (0 <= k <= A.n):
         raise ValueError(f"k must lie in [0, {A.n}]")
-    la, _ = _kernel(A.columns_f64[:, :k], np.ones(k, dtype=np.int64))(
+    la, _ = _kernel(A.columns_f64[:, :k], np.ones(k, dtype=np.int64), signed=False)(
         _theta_rows(_theta_array(theta), A.m))
     return float(_exp_clamped(la)[0])
 

@@ -25,8 +25,9 @@ from .fourier import (
     Estimate,
     FarRegionReport,
     Region,
+    _exp_clamped,
     _map_rows,
-    dhat_batch,
+    dhat_log_abs_batch,
     far_region_integral,
     integrate_mc,
     xhat_batch,
@@ -279,7 +280,7 @@ def three_region_assembly(
         return _row_product(g0 + 2.0 * gh) - _row_product(g0)
 
     near = integrate_mc(
-        lambda pts: np.abs(dhat_batch(A, pts)) * _map_rows(shifted_rhat_sum, A, pts),
+        lambda pts: _exp_clamped(dhat_log_abs_batch(A, pts)) * _map_rows(shifted_rhat_sum, A, pts),
         Region.origin_ball(A.m, radius),
         samples,
         child_seed(seed, 1),

@@ -156,44 +156,121 @@ def test_kernel_clamps_far_from_origin():
         assert dl.dhat_partial(A, th, A.n) == floor
 
 
+# Instances on either path of the transform kernel: 54 column types (one
+# libm cos per type) and 147 (angle-addition tables), both with odd and
+# even multiplicities.
+LIBM_INSTANCE, TABLE_INSTANCE = (8, 60, 2), (8, 200, 2)
+
+
+def _kernel_instances():
+    mats = [dl.sample_bernoulli(m, n, 0.5, seed) for m, n, seed in (LIBM_INSTANCE, TABLE_INSTANCE)]
+    types = [A.column_types[1] for A in mats]
+    assert types[0].size == 54 and types[1].size == 147
+    assert types[0].size < fr.TABLE_MIN_TYPES <= types[1].size
+    assert all((c % 2 == 1).any() and (c % 2 == 0).any() for c in types)
+    return mats
+
+
+def test_log_abs_kernel_keeps_the_bits_of_abs_dhat():
+    # dhat_log_abs_batch asks the kernel for no sign; on either path the
+    # clamped exp of its values is |dhat_batch| bit for bit.
+    th = stream(12).random((2000, 8)) - 0.5
+    for A in _kernel_instances():
+        assert _hex(fr._exp_clamped(fr.dhat_log_abs_batch(A, th))) == _hex(np.abs(fr.dhat_batch(A, th)))
+
+
+def _wide_instance():
+    """m = 10, n = ceil(4 m^2 ln m) = 922: 602 column types, table path."""
+    A = dl.sample_bernoulli(10, 922, 0.5, 5)
+    assert A.column_types[1].size == 602 >= fr.TABLE_MIN_TYPES
+    return A
+
+
+def test_table_kernel_near_origin_matches_column_product():
+    A = _wide_instance()
+    rng = stream(31)
+    g = rng.standard_normal((40, A.m))
+    radius = 2.0 / (math.pi * math.sqrt(A.n))
+    th = g / np.linalg.norm(g, axis=1, keepdims=True) * radius * rng.random((40, 1)) ** (1 / A.m)
+    d, la = fr.dhat_batch(A, th), fr.dhat_log_abs_batch(A, th)
+    bits = A.bits.tolist()
+    for b in range(len(th)):
+        prod, _ = _column_product(bits, th[b])
+        assert d[b] == pytest.approx(prod, rel=1e-12)
+        assert math.exp(la[b]) == pytest.approx(abs(prod), rel=1e-12)
+
+
+def test_table_kernel_error_on_cube(monkeypatch):
+    # Against a long double evaluation on 10^4 cube points. The error of
+    # log|dhat| is about sum_v counts[v] err_v / |cos_v|, so the worst point
+    # is the one with a factor nearest zero, and which path rounds that one
+    # factor better is chance. Each point's error is therefore taken in units
+    # of its conditioning u sum_v counts[v] / |cos_v|; the table path's worst
+    # must stay within 4 times the libm path's, and so must its median error.
+    # Every sign must be right.
+    if np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision:
+        pytest.skip("long double is no wider than double on this platform")
+    A = _wide_instance()
+    V, counts = A.column_types
+    th = stream(32).random((10 ** 4, A.m)) - 0.5
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    ref, kappa, sign = [], [], []
+    for part in np.array_split(th, 5):
+        cos = np.cos(two_pi * (part.astype(np.longdouble) @ V.astype(np.longdouble)))
+        ref.append((np.log(np.abs(cos)) * counts).sum(axis=1))
+        kappa.append((counts / np.abs(cos)).sum(axis=1).astype(np.float64) * 2.0 ** -53)
+        sign.append(1 - 2 * (np.count_nonzero((cos < 0) & (counts % 2 == 1), axis=1) % 2))
+    ref, kappa, sign = (np.concatenate(x) for x in (ref, kappa, sign))
+    assert (sign < 0).any() and (sign > 0).any()
+    assert np.array_equal(np.sign(fr.dhat_batch(A, th)), sign)
+    table = np.abs(fr.dhat_log_abs_batch(A, th) - ref).astype(np.float64)
+    monkeypatch.setattr(fr, "TABLE_MIN_TYPES", counts.size + 1)
+    libm = np.abs(fr.dhat_log_abs_batch(A, th) - ref).astype(np.float64)
+    assert (table / kappa).max() <= 4 * (libm / kappa).max()
+    assert np.median(table) <= 4 * np.median(libm)
+
+
 def test_prob_fourier_mc_independent_of_kernel_chunk(monkeypatch):
-    # 54 column types; on this instance a BLAS matmul for the inner products
-    # already changes the estimate between chunk sizes 1 and 4099.
-    A = dl.sample_bernoulli(8, 60, 0.5, 2)
+    # On the libm instance a BLAS matmul for the inner products already
+    # changes the estimate between chunk sizes 1 and 4099; on the table
+    # instance the same bound also cuts the blocks inside each slice.
     s = dl.build_pmf(1)
-    base = dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11)
+    mats = _kernel_instances()
+    base = [dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) for A in mats]
     for chunk in (1, 50, 4099):
         monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
-        assert dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) == base
+        monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        assert [dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) for A in mats] == base, chunk
 
 
 def test_estimates_independent_of_thread_count(monkeypatch):
-    # Same m=8 instance (54 column types); every batch is split across the
-    # pool, over thread counts 1-3 crossed with three chunk bounds.
-    A = dl.sample_bernoulli(8, 60, 0.5, 2)
-    counts = A.column_types[1]
-    assert counts.size == 54 and (counts % 2 == 1).any() and (counts % 2 == 0).any()
+    # Both kernel instances, with a third of the points on the table one
+    # (its per-call set-up is dearer at one row per slice); every batch is
+    # split across the pool, over thread counts 1-3 crossed with three chunk
+    # bounds (on the table path also the bound on its blocks).
     s = dl.build_pmf(1)
-    th = stream(5).random((3000, 8)) - 0.5
 
-    def run():
-        far = dl.far_region_integral(A, 0.1, 3000, 4, include_rhat_delta=1)
-        asm = dl.three_region_assembly(A, s, 2000, 6)
+    def run(A, k):
+        th = stream(5).random((k, 8)) - 0.5
+        far = dl.far_region_integral(A, 0.1, k, 4, include_rhat_delta=1)
+        asm = dl.three_region_assembly(A, s, 2 * k // 3, 6)
         return (
-            dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11),
+            dl.prob_fourier_mc(A, s, [0] * 8, k, 11),
             (far.estimate, far.log_mean),
             (asm.central, asm.near, asm.far.estimate, asm.far.log_mean, asm.witness),
             fr.dhat_batch(A, th).tolist(),
         )
 
-    base = run()
-    assert min(base[3]) < 0.0 < max(base[3])
+    runs = list(zip(_kernel_instances(), (3000, 1000)))
+    base = [run(A, k) for A, k in runs]
+    assert all(min(b[3]) < 0.0 < max(b[3]) for b in base)
     monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
     for workers in (1, 2, 3):
         monkeypatch.setattr(fr, "_worker_count", lambda: workers)
         for chunk in (1, 50, 4099):
             monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
-            assert run() == base, (workers, chunk)
+            monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+            assert [run(A, k) for A, k in runs] == base, (workers, chunk)
 
 
 def test_kernel_concurrent_callers_share_the_pool(monkeypatch):
