@@ -51,7 +51,7 @@ def _parse_vector(text: str, kind=float) -> np.ndarray:
     try:
         return np.array([kind(part) for part in text.split(",") if part != ""])
     except ValueError as exc:
-        raise SystemExit(f"could not parse vector {text!r}: {exc}")
+        raise ValueError(f"could not parse vector {text!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,10 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev = fo_subs.add_parser("eval", help="evaluate dhat/xhat at one theta")
     ev.add_argument("--in", dest="infile", required=True)
     ev.add_argument("--theta", required=True, help="comma-separated coordinates")
-    ev.add_argument("--delta", type=int, default=None,
-                    help="smoother width for xhat (omit for dhat only)")
-    ev.add_argument("--parity", action="store_true",
-                    help="use the parity smoother for xhat")
+    smoother = ev.add_mutually_exclusive_group()
+    smoother.add_argument("--delta", type=int, default=None,
+                          help="smoother width for xhat (omit for dhat only)")
+    smoother.add_argument("--parity", action="store_true",
+                          help="use the parity smoother for xhat")
     _common_flags(ev)
 
     ver = subs.add_parser("verify", help="run a named verification suite")

@@ -17,10 +17,14 @@ subset sums of each half of its coordinates, built by angle addition from
 2m libm calls instead of T. TABLE_MIN_TYPES records the measured
 crossover; `_kernel` gives the accuracy of each path and why no row
 depends on the batch that holds it. All integrals here are
-Monte Carlo over regions of the fundamental cube [-1/2, 1/2)^m, with a
-fixed block structure so estimates depend only on (seed, samples).
-`integrate_mc` is the one Monte Carlo engine: every estimator in the
-package (here and in `inversion`) is an integrand passed to it.
+Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
+the one engine: a `Region` (cube, quarter cube or origin ball) draws
+points uniformly and gives its volume, and an integrand maps them to
+values. Every estimator in the package (here and in `inversion`) is an
+integrand passed to it; a restriction to another subset, such as the far
+region's lattice-distance indicator, lives in the integrand. Blocks of
+MC_BLOCK points are seeded by index, so estimates depend only on
+(seed, samples).
 
 The per-point work of every Monte Carlo integrand is split by rows over
 every core the process may run on (a process-wide thread pool, built on
@@ -183,25 +187,21 @@ class RegionKind(Enum):
     FULL_CUBE = "full_cube"
     QUARTER_CUBE = "quarter_cube"
     ORIGIN_BALL = "origin_ball"
-    NEAR_SHELLS = "near_lattice_minus_origin"
-    FAR = "far_from_lattice"
 
 
 @dataclass(frozen=True)
 class Region:
-    """A subset of the fundamental cube with an exact membership test.
+    """A subset of the fundamental cube with a uniform sampler and a
+    closed-form volume: the cube, the quarter cube or an origin ball.
 
-    The cube, quarter cube and origin ball are sampled directly and carry
-    a closed-form volume. The near-shell and far regions are handled by
-    uniform cube sampling with exact indicator accounting (the integrand
-    is zeroed outside), which keeps the estimator unbiased with no
-    rejection loop that could stall.
+    Integrals over other subsets (the far region) zero the integrand
+    outside them and sample a region that contains them, which keeps the
+    estimator unbiased with no rejection loop that could stall.
     """
 
     kind: RegionKind
     m: int
     radius: Optional[float] = None
-    delta: Optional[float] = None
 
     @classmethod
     def full_cube(cls, m: int) -> "Region":
@@ -220,47 +220,15 @@ class Region:
             raise ValueError("ball radius must be positive")
         return cls(RegionKind.ORIGIN_BALL, m, radius=radius)
 
-    @classmethod
-    def near_lattice_shells(cls, m: int, delta: float) -> "Region":
-        if delta <= 0.0:
-            raise ValueError("shell radius must be positive")
-        return cls(RegionKind.NEAR_SHELLS, m, delta=delta)
-
-    @classmethod
-    def far_from_lattice(cls, m: int, delta: float) -> "Region":
-        if delta <= 0.0:
-            raise ValueError("far-region distance must be positive")
-        return cls(RegionKind.FAR, m, delta=delta)
-
-    @property
-    def uses_indicator(self) -> bool:
-        return self.kind in (RegionKind.NEAR_SHELLS, RegionKind.FAR)
-
-    def volume(self) -> Optional[float]:
+    def volume(self) -> float:
         if self.kind is RegionKind.FULL_CUBE:
             return 1.0
         if self.kind is RegionKind.QUARTER_CUBE:
             return 0.5 ** self.m
-        if self.kind is RegionKind.ORIGIN_BALL:
-            return unit_ball_volume(self.m) * self.radius ** self.m
-        return None
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if self.kind is RegionKind.FULL_CUBE:
-            return np.all((pts >= -0.5) & (pts < 0.5), axis=1)
-        if self.kind is RegionKind.QUARTER_CUBE:
-            return np.all((pts >= -0.25) & (pts < 0.25), axis=1)
-        if self.kind is RegionKind.ORIGIN_BALL:
-            return np.einsum("ij,ij->i", pts, pts) <= self.radius ** 2
-        near_sq, full_sq = _lattice_distances_sq(pts)
-        if self.kind is RegionKind.NEAR_SHELLS:
-            return near_sq <= self.delta ** 2
-        return full_sq >= self.delta ** 2
+        return unit_ball_volume(self.m) * self.radius ** self.m
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """k points: uniform in the region for direct kinds, uniform in the
-        cube for indicator kinds."""
+        """k points drawn uniformly from the region."""
         if self.kind is RegionKind.QUARTER_CUBE:
             return (rng.random((k, self.m)) - 0.5) * 0.5
         if self.kind is RegionKind.ORIGIN_BALL:
@@ -274,37 +242,17 @@ class Region:
         return rng.random((k, self.m)) - 0.5
 
 
-def _lattice_distances_sq(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Squared l2 distances to the nonzero half-integral points and to all
-    of them, coordinatewise exact for points of the fundamental cube."""
-    folded = pts - np.round(pts)
-    a = np.abs(folded)
-    d0 = a
-    dh = 0.5 - a
-    best = np.minimum(d0, dh)
-    full_sq = np.einsum("ij,ij->i", best, best)
-    # Distance to the lattice minus the origin: if some coordinate already
-    # prefers a half-integer the minimizer is nonzero; otherwise force the
-    # cheapest coordinate onto a half-integer.
-    diff = dh * dh - best * best
-    forced = diff.min(axis=1)
-    prefers_half = (dh <= d0).any(axis=1)
-    near_sq = full_sq + np.where(prefers_half, 0.0, forced)
-    return near_sq, full_sq
+def _lattice_distance_sq(pts: np.ndarray) -> np.ndarray:
+    """Squared l2 distances of a (k, m) batch to the half-integral lattice,
+    coordinatewise exact for points of the fundamental cube."""
+    a = np.abs(pts - np.round(pts))
+    best = np.minimum(a, 0.5 - a)
+    return np.einsum("ij,ij->i", best, best)
 
 
 def d2_to_lattice(theta) -> float:
     """Euclidean distance from theta to the half-integral lattice."""
-    arr = _theta_array(theta)
-    _, full_sq = _lattice_distances_sq(arr[None, :])
-    return float(math.sqrt(full_sq[0]))
-
-
-def d2_to_punctured_lattice(theta) -> float:
-    """Distance to the half-integral lattice with the origin removed."""
-    arr = _theta_array(theta)
-    near_sq, _ = _lattice_distances_sq(arr[None, :])
-    return float(math.sqrt(near_sq[0]))
+    return float(math.sqrt(_lattice_distance_sq(_theta_array(theta)[None, :])[0]))
 
 
 # -- transforms of the signed discrepancy ------------------------------------------
@@ -618,6 +566,9 @@ def gaussian_density_zero(Sigma) -> float:
 
 # -- Monte Carlo integrator -----------------------------------------------------------
 
+# Points per Monte Carlo block. Block b draws from the derived stream
+# (seed, b), so this fixes how every estimate splits its stream: changing
+# it changes every estimate's bits.
 MC_BLOCK = 1 << 16
 
 
@@ -664,39 +615,28 @@ def integrate_mc(
     region: Region,
     samples: int,
     seed: int,
-    block: int = MC_BLOCK,
     stderr_target: Optional[float] = None,
 ) -> Estimate:
     """Unbiased Monte Carlo estimate of the integral of f over the region.
 
-    f maps a (k, m) batch of points to (k,) values. Block b draws from the
-    derived stream (seed, b) and partial sums are reduced in block order,
-    so the estimate depends only on (seed, samples), never on scheduling.
-    When stderr_target is given, the budget doubles from one block until
-    the reported stderr (scaled by the region volume) meets it, with
-    `samples` as the hard cap; the Estimate reports the samples spent.
+    f maps a (k, m) batch of points drawn uniformly from the region to (k,)
+    values; the estimate is the region's volume times their mean. Block b
+    draws at most MC_BLOCK points from the derived stream (seed, b) and
+    partial sums are reduced in block order, so the estimate depends only
+    on (seed, samples), never on scheduling. When stderr_target is given,
+    the budget doubles from one block until the reported stderr (scaled by
+    the region volume) meets it, with `samples` as the hard cap; the
+    Estimate reports the samples spent.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if block < 1:
-        raise ValueError("block must be positive")
-    indicator = region.uses_indicator
-    scale = 1.0 if indicator else region.volume()  # indicator: cube volume is 1
+    scale = region.volume()
     moments = RunningMoments()
     block_index = 0
-    checkpoint = block
+    checkpoint = MC_BLOCK
     while moments.count < samples:
-        k = min(block, samples - moments.count)
-        rng = stream(seed, block_index)
-        pts = region.sample(rng, k)
-        if indicator:
-            vals = np.zeros(k, dtype=np.float64)
-            mask = region.contains(pts)
-            if mask.any():
-                vals[mask] = np.asarray(f(pts[mask]), dtype=np.float64)
-        else:
-            vals = np.asarray(f(pts), dtype=np.float64)
-        moments.add(vals)
+        pts = region.sample(stream(seed, block_index), min(MC_BLOCK, samples - moments.count))
+        moments.add(np.asarray(f(pts), dtype=np.float64))
         block_index += 1
         if stderr_target is not None and moments.count >= checkpoint:
             if scale * moments.stderr <= stderr_target:
@@ -893,19 +833,21 @@ def far_region_integral(
 ) -> FarRegionReport:
     """Estimate the integral of |dhat| over points at lattice distance >= delta.
 
-    One `integrate_mc` call over `Region.far_from_lattice` (uniform cube
-    sampling with exact indicator accounting). The integrand also keeps a
-    running log-sum-exp of the per-sample log values for `log_mean`. The
-    report carries the comparison value exp(-p delta^2 n / 24) and the two
-    side conditions p delta^2 / 6 <= 1 and p delta^2 <= FAR_SIDE_C. When
-    include_rhat_delta is given, the integrand is |xhat| for that smoother
-    width instead of |dhat|.
+    One `integrate_mc` call over the full cube. The integrand is zero at
+    points whose squared distance to the half-integral lattice is below
+    delta^2 and evaluates the kernel on the other, far points only; it
+    also keeps a running log-sum-exp of their log values for `log_mean`.
+    The report carries the comparison value exp(-p delta^2 n / 24) and the
+    two side conditions p delta^2 / 6 <= 1 and p delta^2 <= FAR_SIDE_C.
+    When include_rhat_delta is given, the integrand is |xhat| for that
+    smoother width instead of |dhat|.
     """
     if A.meta.p is None:
         raise ValueError("far-region comparison needs the generation probability p")
     if delta_param <= 0.0:
         raise ValueError("delta must be positive")
     p = A.meta.p
+    delta_sq = delta_param ** 2
     lse_max = -math.inf
     lse_sum = 0.0
 
@@ -915,6 +857,11 @@ def far_region_integral(
 
     def abs_integrand(pts: np.ndarray) -> np.ndarray:
         nonlocal lse_max, lse_sum
+        vals = np.zeros(len(pts))
+        far = _lattice_distance_sq(pts) >= delta_sq
+        if not far.any():
+            return vals
+        pts = pts[far]
         la = dhat_log_abs_batch(A, pts)
         if include_rhat_delta is not None:
             la = la + _map_rows(log_rhat, A, pts)
@@ -923,10 +870,10 @@ def far_region_integral(
             fmax = max(lse_max, float(finite.max()))
             lse_sum = lse_sum * math.exp(lse_max - fmax) + float(np.exp(finite - fmax).sum())
             lse_max = fmax
-        return _exp_clamped(la)
+        vals[far] = _exp_clamped(la)
+        return vals
 
-    est = integrate_mc(abs_integrand, Region.far_from_lattice(A.m, delta_param),
-                       samples, seed)
+    est = integrate_mc(abs_integrand, Region.full_cube(A.m), samples, seed)
     log_mean = (lse_max + math.log(lse_sum) - math.log(samples)) if lse_sum > 0.0 else -math.inf
     p_delta_sq = p * delta_param * delta_param
     return FarRegionReport(

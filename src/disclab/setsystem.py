@@ -218,13 +218,20 @@ class IncidenceMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IncidenceMatrix":
+        if not isinstance(d, dict):
+            raise ValueError(f"instance must be a JSON object, not {type(d).__name__}")
         m, n = int(d["m"]), int(d["n"])
         rows = d["rows"]
+        if not isinstance(rows, list) or not all(isinstance(h, str) for h in rows):
+            raise ValueError("instance rows must be a list of hex strings")
         if len(rows) != m:
             raise ValueError(f"instance lists {len(rows)} rows, expected m={m}")
+        p = None if d.get("p") is None else float(d["p"])
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise ValueError(f"instance p={p} lies outside [0, 1]")
         bits = np.vstack([_hex_to_row(h, n) for h in rows])
         meta = GenMeta(
-            p=None if d.get("p") is None else float(d["p"]),
+            p=p,
             seed=None if d.get("seed") is None else int(d["seed"]),
             generator=d.get("generator"),
         )

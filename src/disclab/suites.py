@@ -246,15 +246,19 @@ def suite_smoothing(
     return rep
 
 
+def _axis_points(m: int, radius: float) -> np.ndarray:
+    """Nine evenly spaced points of [-radius, radius] on each coordinate axis."""
+    axis = np.zeros((9 * m, m))
+    for i in range(m):
+        axis[9 * i:9 * (i + 1), i] = np.linspace(-radius, radius, 9)
+    return axis
+
+
 def _domain_points(m: int, radius_inf: float, count: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Axis points plus uniform points of the box |theta|_inf <= radius_inf."""
-    axis_scales = np.linspace(-radius_inf, radius_inf, 9)
-    axis = np.zeros((9 * m, m))
-    for i in range(m):
-        axis[9 * i:9 * (i + 1), i] = axis_scales
     rand = rng.uniform(-radius_inf, radius_inf, size=(count, m))
-    return np.vstack([axis, rand])
+    return np.vstack([_axis_points(m, radius_inf), rand])
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +503,10 @@ def _ball_points(m: int, radius: float, count: int, rng: np.random.Generator,
                  axis_points: bool = True) -> np.ndarray:
     """Points of the l2 ball of the given radius: optional axis grids plus
     uniform ball samples."""
-    blocks = []
-    if axis_points:
-        scales = np.linspace(-radius, radius, 9)
-        axis = np.zeros((9 * m, m))
-        for i in range(m):
-            axis[9 * i:9 * (i + 1), i] = scales
-        blocks.append(axis)
+    blocks = [_axis_points(m, radius)] if axis_points else []
     need = max(0, count - sum(b.shape[0] for b in blocks))
     if need:
-        g = rng.standard_normal((need, m))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = radius * rng.random(need) ** (1.0 / m)
-        blocks.append(g * r[:, None])
+        blocks.append(fr.Region.origin_ball(m, radius).sample(rng, need))
     return np.vstack(blocks)
 
 

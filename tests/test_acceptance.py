@@ -27,22 +27,18 @@ def report(num, name, passed, extra=""):
     assert passed, line
 
 
-def test_criterion_01_inversion_oracle_equivalence():
-    t0 = time.time()
-    rng = stream(SEED, 1)
-    worst = math.inf
-    for k in range(50):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(4, 13))
-        p = float(rng.choice((0.3, 0.5)))
-        A = dl.sample_bernoulli(m, n, p, int(rng.integers(2 ** 62)))
-        exact = float(dl.prob_exact(A, S1, [0] * m))
-        est = dl.prob_fourier_mc(A, S1, [0] * m, 10 ** 6, child_seed(SEED, 1, k))
-        worst = min(worst, max(3 * est.stderr, 1e-3) - abs(exact - est.value))
-    elapsed = time.time() - t0
+def test_criterion_01_inversion_oracle_equivalence(seed42_suite):
+    # The inversion suite's oracle check: 50 random instances at lambda = 0,
+    # 10^6 samples each, against the exact law.
+    rep = seed42_suite("inversion")
+    oracle = next(c for c in rep.checks if c.name == "oracle_equivalence")
+    detail = oracle.detail or {}
     report(1, "inversion oracle equivalence (50 instances, 1e6 samples)",
-           worst >= 0.0 and elapsed <= 300.0,
-           f"worst margin {worst:.2e}, {elapsed:.0f}s")
+           oracle.passed and detail.get("instances") == 50
+           and detail.get("samples") == 10 ** 6
+           and detail.get("tolerance") == "max(3 stderr, 1e-3)"
+           and rep.runtime_s <= 300.0,
+           f"worst margin {oracle.margin:.2e}, suite {rep.runtime_s:.0f}s")
 
 
 def test_criterion_02_dhat_product_vs_bruteforce():

@@ -359,9 +359,6 @@ def test_d2_to_lattice_examples():
     assert dl.d2_to_lattice([0.0, 0.0]) == 0.0
     assert dl.d2_to_lattice([0.25, 0.25]) == pytest.approx(math.sqrt(2) / 4)
     assert dl.d2_to_lattice([0.4, 0.0]) == pytest.approx(0.1)
-    # distance to the punctured lattice forces one coordinate to a half-integer
-    assert fr.d2_to_punctured_lattice([0.0, 0.0]) == pytest.approx(0.5)
-    assert fr.d2_to_punctured_lattice([0.1, 0.0]) == pytest.approx(0.4)
 
 
 def test_d2_matches_exhaustive_minimum():
@@ -371,10 +368,7 @@ def test_d2_matches_exhaustive_minimum():
         th = rng.uniform(-0.5, 0.5, size=m)
         pts = half_lattice_points(m, include_zero=True)
         brute_full = np.linalg.norm(th[None, :] - pts, axis=1).min()
-        nonzero = pts[np.any(pts != 0.0, axis=1)]
-        brute_punct = np.linalg.norm(th[None, :] - nonzero, axis=1).min()
         assert dl.d2_to_lattice(th) == pytest.approx(brute_full, abs=1e-12)
-        assert fr.d2_to_punctured_lattice(th) == pytest.approx(brute_punct, abs=1e-12)
 
 
 def test_gaussian_fhat_and_density():
@@ -410,21 +404,23 @@ def test_integrate_mc_gaussian_ball_floor():
     assert est.value >= 0.5 * (2 * math.pi * r) ** (-m / 2) - 3 * est.stderr
 
 
-def test_integrate_mc_deterministic_and_block_invariant():
+def test_integrate_mc_deterministic_and_block_invariant(monkeypatch):
     f = lambda p: np.cos(2 * np.pi * p[:, 0])  # noqa: E731
     a = dl.integrate_mc(f, fr.Region.full_cube(2), 30000, 9)
     b = dl.integrate_mc(f, fr.Region.full_cube(2), 30000, 9)
     assert a == b
     # block scheduling does not change the drawn points, only the batching
-    c = dl.integrate_mc(f, fr.Region.full_cube(2), 30000, 9, block=7000)
+    monkeypatch.setattr(fr, "MC_BLOCK", 7000)
+    c = dl.integrate_mc(f, fr.Region.full_cube(2), 30000, 9)
     assert c.value != a.value  # different block structure = different stream split
     assert abs(c.value - a.value) <= 3 * (a.stderr + c.stderr)
 
 
-def test_integrate_mc_adaptive_stop_reports_scaled_stderr():
+def test_integrate_mc_adaptive_stop_reports_scaled_stderr(monkeypatch):
+    monkeypatch.setattr(fr, "MC_BLOCK", 1000)
     region = fr.Region.quarter_cube(3)  # volume 1/8
     f = lambda p: np.cos(2 * np.pi * p[:, 0]) + p[:, 1]  # noqa: E731
-    fixed = {c: dl.integrate_mc(f, region, c, 4, block=1000) for c in range(1000, 5000, 1000)}
+    fixed = {c: dl.integrate_mc(f, region, c, 4) for c in range(1000, 5000, 1000)}
     # met first after 3000 samples, which is not a checkpoint (1000, 2000, 4000, ...);
     # the unscaled stderr at 4000 samples (8x the reported one) is far above it
     target = fixed[3000].stderr * 1.0001
@@ -436,24 +432,22 @@ def test_integrate_mc_adaptive_stop_reports_scaled_stderr():
         drawn.append(len(p))
         return f(p)
 
-    est = dl.integrate_mc(counted, region, 10 ** 6, 4, block=1000, stderr_target=target)
+    est = dl.integrate_mc(counted, region, 10 ** 6, 4, stderr_target=target)
     assert est == fixed[4000]
     assert est.samples == sum(drawn) == 4000
     # an unreachable target spends the whole cap, including its partial block
-    capped = dl.integrate_mc(f, region, 5500, 4, block=1000, stderr_target=1e-12)
-    assert capped == dl.integrate_mc(f, region, 5500, 4, block=1000)
+    capped = dl.integrate_mc(f, region, 5500, 4, stderr_target=1e-12)
+    assert capped == dl.integrate_mc(f, region, 5500, 4)
     assert capped.samples == 5500
 
 
-def test_region_membership_indicator_kinds():
-    far = fr.Region.far_from_lattice(2, 0.1)
-    near = fr.Region.near_lattice_shells(2, 0.1)
+def test_far_membership_by_lattice_distance():
     pts = np.array([[0.0, 0.0], [0.25, 0.25], [0.45, 0.0], [0.05, 0.0]])
-    assert far.contains(pts).tolist() == [False, True, False, False]
-    assert near.contains(pts).tolist() == [False, False, True, False]
-    assert far.volume() is None
-    est = dl.integrate_mc(lambda p: np.ones(len(p)), far, 50000, 5)
-    # indicator accounting: the estimate is the region volume
+    far = fr._lattice_distance_sq(pts) >= 0.1 ** 2
+    assert far.tolist() == [False, True, False, False]
+    # an indicator integrand over the cube estimates the far region's volume
+    est = dl.integrate_mc(lambda p: (fr._lattice_distance_sq(p) >= 0.1 ** 2) * 1.0,
+                          fr.Region.full_cube(2), 50000, 5)
     assert 0.0 < est.value < 1.0
 
 
@@ -568,7 +562,7 @@ def test_far_region_zero_matrix_calibration_path():
     Z = IncidenceMatrix(np.zeros((2, 6), dtype=int), meta=dl.GenMeta(p=0.0))
     rep = dl.far_region_integral(Z, 0.2, 40000, 3)
     pts = stream(1234).random((200000, 2)) - 0.5
-    vol = float(fr.Region.far_from_lattice(2, 0.2).contains(pts).mean())
+    vol = float((fr._lattice_distance_sq(pts) >= 0.2 ** 2).mean())
     assert rep.estimate.value == pytest.approx(vol, abs=0.01)
     # p = 0 makes the comparison bound trivial (exp(0) = 1): calibration only
     assert rep.bound == 1.0 and rep.p_delta_sq == 0.0
@@ -654,12 +648,6 @@ def test_exp_clamped_matches_the_one_line_formula_bitwise():
         assert _hex(fr._exp_clamped(la, sign)) == _hex(old)
     assert _hex(fr._exp_clamped(la)) == _hex(np.where(la == -math.inf, 0.0,
                                                       np.exp(np.maximum(la, clamp))))
-
-
-@pytest.mark.parametrize("block", [0, -3])
-def test_integrate_mc_rejects_nonpositive_block(block):
-    with pytest.raises(ValueError, match="block must be positive"):
-        dl.integrate_mc(lambda p: p[:, 0], fr.Region.full_cube(2), 10, 1, block=block)
 
 
 def test_integrands_independent_of_pool_size_and_chunk(monkeypatch):

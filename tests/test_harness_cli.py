@@ -253,6 +253,71 @@ def test_cli_runtime_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch
     assert captured.out == ""
 
 
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["invert", "--lambda", "0,x", "--samples", "100"],
+    ["experiment", "theorem", "--m-list", "3,x", "--trials", "1"],
+])
+def test_cli_malformed_vector_is_usage_error(tmp_path, capsys, args):
+    inst = tmp_path / "inst.json"
+    IncidenceMatrix([[1, 1], [0, 1]]).save(inst)
+    if args[0] == "invert":
+        args = args + ["--in", str(inst)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _one_error_line(captured.err), captured.err
+    assert "could not parse vector" in captured.err
+    assert captured.out == ""
+
+
+_GOOD = IncidenceMatrix([[1, 0, 1], [0, 1, 1]]).to_dict()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_GOOD], "must be a JSON object"),
+    (dict(_GOOD, rows=None), "rows must be a list of hex strings"),
+    (dict(_GOOD, rows=[1, 2]), "rows must be a list of hex strings"),
+    (dict(_GOOD, p=7), "outside [0, 1]"),
+])
+@pytest.mark.parametrize("command", [
+    ["invert", "--samples", "100"],
+    ["fourier", "eval", "--theta", "0.1,0.0"],
+    ["disc", "--solver", "exhaustive"],
+])
+def test_cli_malformed_instance_is_usage_error(tmp_path, capsys, doc, message, command):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    code = main(command + ["--in", str(inst)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _one_error_line(captured.err), captured.err
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_instance_p_bounds_are_inclusive():
+    for p in (0.0, 1.0):
+        assert IncidenceMatrix.from_dict(dict(_GOOD, p=p)).meta.p == p
+
+
+def test_cli_fourier_parity_and_delta_are_exclusive(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    IncidenceMatrix([[1, 0], [0, 1]]).save(inst)
+    with pytest.raises(SystemExit) as exc:
+        main(["fourier", "eval", "--in", str(inst), "--theta", "0.1,0.0",
+              "--parity", "--delta", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "not allowed with argument" in errors[0]
+    assert captured.out == ""
+
+
 def test_cli_invert_large_n_in_bounded_memory(tmp_path):
     # m=4, n=20000 under a 1.5 GB address-space cap on the child only: the
     # transform must not hold a samples x n block (65536 x 20000 doubles is
