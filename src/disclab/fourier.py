@@ -11,10 +11,11 @@ types as sign plus a multiplicity-weighted sum of log|cos| (clamped at
 exp(-745); an exactly zero factor gives zero), because thousands of
 sub-unit factors would underflow a naive product. The kernel's cost is
 libm's float64 cos, which numpy evaluates one value at a time. So with
-fewer than TABLE_MIN_TYPES column types (T) each factor is one cos, and
-from there on the factors of a point come from cos and sin tables of the
-subset sums of each half of its coordinates, built by angle addition from
-2m libm calls instead of T. TABLE_MIN_TYPES records the measured
+fewer than TABLE_MIN_TYPES column types (T) the kernel takes one cos per
+distinct nonzero angle, building each type's angle from its prefix's,
+and from there on the factors of a point come from cos and sin tables of
+the subset sums of each half of its coordinates, built by angle addition
+from 2m libm calls instead of T. TABLE_MIN_TYPES records the measured
 crossover; `_kernel` gives the accuracy of each path and why no row
 depends on the batch that holds it. All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
@@ -26,14 +27,15 @@ region's lattice-distance indicator, lives in the integrand. Blocks of
 MC_BLOCK points are seeded by index, so estimates depend only on
 (seed, samples).
 
-The per-point work of every Monte Carlo integrand is split by rows over
-every core the process may run on (a process-wide thread pool, built on
-first use): `_map_rows` evaluates the kernel with its clamped exp
-(`dhat_batch`, `dhat_log_abs_batch`), the smoother's transform in
-`xhat_batch`, the near-shell factor of the assembly and the far region's
-smoother log-values slice by slice. Each row is computed the same way
-whichever thread computes it and whatever slice holds it, so every value,
-and every estimate built on it, is the same at any core count.
+The per-point work of every Monte Carlo integrand is one row split over
+every core the process may run on (`_map_rows`, a process-wide thread
+pool built on first use). The kernel hands each slice's coordinate
+cosines cos(2 pi theta_i) to the integrand's `combine` function, which
+builds the rest in the same pass: the clamped exp, the smoother's
+transform in `xhat_batch`, the near-shell factor of the assembly or the
+far region's smoother log. Each row is computed the same way whichever
+thread computes it and whatever slice holds it, so every value, and
+every estimate built on it, is the same at any core count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -53,9 +56,9 @@ from .setsystem import IncidenceMatrix, max_column_frequency
 from .smoothing import (
     ParitySmoother,
     SmoothingSpec,
+    _row_product,
     _sampled_lattice_points,
     half_lattice_points,
-    parity_rhat,
     rhat_md,
 )
 
@@ -99,12 +102,28 @@ LOG_CLAMP = -745.0
 KERNEL_CHUNK = 1 << 22
 
 # Column types from which the transform kernel builds its factors by angle
-# addition instead of one libm cos per type (see _kernel). Measured with one
-# thread over m = 5..10 (Xeon, AVX-512, numpy 2.4): the angle-addition path
-# lost below about 60 types at m >= 8 and tied with one cos per type on
-# points near the origin at 96-114 types (m = 10); from 137 types on it won
-# on cube and ball points at every m.
+# addition instead of one libm cos per distinct angle (see _kernel).
+# Measured with one thread over m = 6..10 (Xeon, AVX-512, numpy 2.4) on
+# 16384 points: on the cube the angle-addition path was 1.3-2.2x faster at
+# every type count it can take (from 41 types at m = 6); within 0.01 of the
+# origin, where libm's cos is cheap and the central pieces sample, the
+# libm path was faster up to about 120 types and within 6% up to 182. The
+# libm path is also the more accurate near the origin.
 TABLE_MIN_TYPES = 128
+
+# Values per block of the libm path of the kernel (its angle and weighted
+# log rows x points), 2 MB. On that Xeon (2 vCPUs, two threads), blocks of
+# 2^16 and 2^17 were up to 25% slower (more Python per value, and threads
+# waiting on each other's Python) and 2^19 to 2^20 no faster; one block
+# per slice (8 MB at m = 4) raised the peak RSS of the m <= 4 benchmark
+# workload by 10 MB.
+LIBM_CHUNK = 1 << 18
+
+# Points from which the libm path's weighted logs are summed over type rows
+# in numpy's pairwise order instead of by a row sum of a transposed copy:
+# on that Xeon the copy was 2-25x faster up to 16 points and tied at 256
+# (about 5 numpy calls against 10-30), the replay up to 5x faster beyond.
+REPLAY_MIN_POINTS = 256
 
 # Points x column types per block of the angle-addition path: its three
 # (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. On that Xeon with two
@@ -274,17 +293,111 @@ def _half_table(cos_h: np.ndarray, sin_h: np.ndarray) -> Tuple[np.ndarray, np.nd
     return c, s
 
 
-def _kernel(V: np.ndarray, counts: np.ndarray,
-            signed: bool) -> Callable[[np.ndarray], Tuple[np.ndarray, Optional[np.ndarray]]]:
+def _runs(rows) -> Tuple[Tuple[int, int], ...]:
+    """Maximal runs (a, b) of consecutive integers in sorted rows."""
+    out = []
+    for r in rows:
+        if out and out[-1][1] == r:
+            out[-1][1] = r + 1
+        else:
+            out.append([r, r + 1])
+    return tuple((a, b) for a, b in out)
+
+
+@lru_cache(maxsize=256)
+def _angle_plan(m: int, types: int, bits: bytes, odd: bytes) -> tuple:
+    """The work array of the libm path of `_kernel` for 0/1 columns given as
+    (m, types) bools and their odd flags, one row per angle.
+
+    Rows 0..m-1 hold the coordinates. Then come, for each size from 2 to
+    m, the distinct column types of that many coordinates and the other
+    subsets of that size that those types need as prefixes; then a row of
+    ones (the factor of the zero type); and after these `angles` rows, the
+    weighted log factors of the types. Returns (angles, steps, cos_runs,
+    type_rows, odd_rows, einsum). Each of `steps` is (start, stop,
+    prefixes, highs): rows start..stop-1, one size, are their prefixes'
+    rows (the subset without its highest coordinate) plus the rows of
+    those highest coordinates. `cos_runs[coords]` are the runs (a, b) of
+    rows whose cos is needed without and with the coordinate cosines;
+    `type_rows` gives each column type's row and `odd_rows` the odd
+    types'. A single type of two or more coordinates takes einsum's angle
+    instead (`einsum`), since einsum sums one column in another order.
+    """
+    cols = np.frombuffer(bits, dtype=bool).reshape(m, types).T.tolist()
+    keys = [tuple(i for i, b in enumerate(col) if b) for col in cols]
+    wide = {k for k in keys if len(k) > 1}
+    einsum = types == 1 and bool(wide)
+    subsets = set(wide) if einsum else {k[:j] for k in wide for j in range(2, len(k) + 1)}
+    layout = [(i,) for i in range(m)]
+    layout += sorted(subsets, key=lambda k: (len(k), k not in wide, k)) + [()]
+    row = {k: r for r, k in enumerate(layout)}
+    steps = []
+    for size in range(2, m + 1):
+        block = [r for r, k in enumerate(layout) if len(k) == size]
+        if block and not einsum:
+            steps.append((block[0], block[-1] + 1,
+                          np.array([row[layout[r][:-1]] for r in block], dtype=np.intp),
+                          np.array([layout[r][-1] for r in block], dtype=np.intp)))
+    flags = np.frombuffer(odd, dtype=bool)
+    cos_runs = (_runs(sorted(row[k] for k in set(keys) if k)),
+                _runs(sorted(set(range(m)) | {row[k] for k in wide})))
+    return (len(layout), tuple(steps), cos_runs,
+            np.array([row[k] for k in keys], dtype=np.intp),
+            np.array([row[k] for k, o in zip(keys, flags) if o and k], dtype=np.intp),
+            einsum)
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (n, k) array, bit for bit x.T.sum(axis=1) on a
+    C-contiguous copy, which sums each of its rows pairwise: in turn below
+    8 values, in 8 interleaved accumulators up to 128, and above that as
+    the sum of two halves cut at a multiple of 8. From REPLAY_MIN_POINTS
+    columns on, this replays that order over whole rows, with no transposed
+    copy, and overwrites x."""
+    n = x.shape[0]
+    if x.shape[1] < REPLAY_MIN_POINTS:
+        return np.ascontiguousarray(x.T).sum(axis=1)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_rows(x[:half]) + _sum_rows(x[half:])
+    if n < 8:
+        out = np.zeros(x.shape[1])
+        for r in x:
+            out += r
+        return out
+    acc, whole = x[:8], n - n % 8
+    for i in range(8, whole, 8):
+        acc += x[i:i + 8]
+    pairs = np.add(acc[0::2], acc[1::2], out=acc[0::2])
+    out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for r in x[whole:]:
+        out += r
+    return out
+
+
+Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+
+def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Rows]:
     """log|.| (unclamped) and, if signed, the sign of
     prod_v cos(2 pi <V^v, theta>)^counts[v] over 0/1 columns V^v, as a
-    function of a (k, m) batch of theta rows; the sign is None otherwise.
+    function rows(thetas, coords=False) of a (k, m) batch of theta rows;
+    the sign is None otherwise. With coords, rows also returns the (m, k)
+    coordinate cosines cos(2 pi theta_i), else None.
 
     The factors come from one of two paths, chosen by the number T of
-    column types. Below TABLE_MIN_TYPES each factor is one libm cos, which
-    dominates the cost; the inner products are summed over the rows of V in
-    order (einsum; BLAS blocking depends on the shape). From
-    TABLE_MIN_TYPES on, the m coordinates are split into halves of
+    column types. Below TABLE_MIN_TYPES the libm cos dominates the cost,
+    and the path takes one per distinct nonzero angle, type-major on a
+    (rows, points) array in blocks of at most LIBM_CHUNK values (see
+    _angle_plan). Each subset's angle is its prefix's (the subset without
+    its highest coordinate) plus that coordinate: the left-to-right sum
+    einsum forms for the inner product, so each angle has einsum's bits (a
+    lone type takes einsum's own angle). The zero type's factor is 1, with no
+    cos; coordinates that are no type get a cos only with coords; the sign
+    is the parity of the odd types' negative factors; and the weighted log
+    factors are summed in the order numpy sums a row of them (`_sum_rows`).
+    So every value is, bit for bit, that of one cos per type and a row sum.
+    From TABLE_MIN_TYPES on, the m coordinates are split into halves of
     h = m // 2 and m - h. For each half, cos and sin of 2 pi times all
     subset sums are tabulated for the batch by angle addition from one cos
     and one sin per coordinate, and each type's factor is
@@ -298,24 +411,58 @@ def _kernel(V: np.ndarray, counts: np.ndarray,
     conditioning sum_v counts[v] / |cos_v|, is within 4 times the libm
     path's.
 
-    Every step is elementwise except the reduction, a sum over each row's
-    own contiguous weighted log factors, so on either path a row's value
-    does not depend on the batch that holds it.
+    Every step is elementwise except the reductions over each point's own
+    values, so on either path a row's value does not depend on the batch
+    that holds it.
     """
     odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
     m, types = V.shape
     h = m // 2
     if types < TABLE_MIN_TYPES or (4 << (m - h)) > types:
-        def rows(thetas: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-            c = np.einsum("bi,ik->bk", thetas, V)
-            np.cos(np.multiply(c, TWO_PI, out=c), out=c)
+        angles, steps, cos_runs, type_rows, odd_rows, einsum = _angle_plan(
+            m, types, V.astype(bool).tobytes(), odd.tobytes())
+        type_weights = weights[:, None]
+        height = angles + types
+        step = max(1, LIBM_CHUNK // height)
+
+        def block(thetas: np.ndarray, work: np.ndarray, coords: bool) -> Rows:
+            ang, logs = work[:angles], work[angles:]
+            ang[:m] = thetas.T
+            ang[-1] = 1.0
+            for a, b, prefixes, highs in steps:
+                np.add(ang.take(prefixes, axis=0), ang.take(highs, axis=0), out=ang[a:b])
+            if einsum:
+                ang[m] = np.einsum("bi,ik->bk", thetas, V)[:, 0]
+            for a, b in cos_runs[coords]:
+                np.cos(np.multiply(ang[a:b], TWO_PI, out=ang[a:b]), out=ang[a:b])
             sign = None
             if signed:
-                sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
+                negative = np.less(ang, 0.0).take(odd_rows, axis=0)
+                sign = np.where(np.logical_xor.reduce(negative, axis=0), -1.0, 1.0)
+            np.take(ang, type_rows, axis=0, out=logs, mode="clip")
             with np.errstate(divide="ignore"):
-                np.log(np.abs(c, out=c), out=c)
-            c *= weights
-            return c.sum(axis=1), sign
+                np.log(np.abs(logs, out=logs), out=logs)
+            logs *= type_weights
+            return _sum_rows(logs), sign, ang[:m] if coords else None
+
+        def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
+            k = thetas.shape[0]
+            if k <= step:
+                return block(thetas, np.empty((height, k)), coords)
+            la = np.empty(k)
+            sign = np.empty(k) if signed else None
+            cos_t = np.empty((m, k)) if coords else None
+            # Reused by every block: fresh arrays of this size cost page faults.
+            flat = np.empty(height * step)
+            for start in range(0, k, step):
+                part = slice(start, start + step)
+                th = thetas[part]
+                la[part], s, c = block(th, flat[:height * len(th)].reshape(height, -1), coords)
+                if signed:
+                    sign[part] = s
+                if coords:
+                    cos_t[:, part] = c
+            return la, sign, cos_t
         return rows
 
     # Types in odd-first order, each as its (lo, hi) pair of half-table indices.
@@ -326,7 +473,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray,
     n_odd, weights = int(odd.sum()), weights[order]
     step = max(1, TABLE_CHUNK // types)
 
-    def rows(thetas: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
         k = thetas.shape[0]
         ang = thetas.T * TWO_PI
         cos_t, sin_t = np.cos(ang), np.sin(ang)
@@ -352,7 +499,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray,
                 np.log(np.abs(c, out=c), out=c)
             weighted = flat[1, :types * points].reshape(points, types)  # s's memory
             la[part] = np.multiply(c.T, weights, out=weighted).sum(axis=1)
-        return la, sign
+        return la, sign, cos_t if coords else None
     return rows
 
 
@@ -448,12 +595,24 @@ def _exp_clamped(la: np.ndarray, sign=1.0) -> np.ndarray:
     return np.where(la == -math.inf, 0.0, sign * val)
 
 
-def dhat_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
+Combine = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def dhat_batch(A: IncidenceMatrix, thetas, combine: Optional[Combine] = None) -> np.ndarray:
     """Transform of D = A x at a batch of theta rows, shape (B, m) -> (B,).
 
-    The kernel and the clamped exp of each row run together on one core."""
+    The kernel and the clamped exp of each row run together on one core.
+    With combine, each slice's values are combine(dhat, cos_t) instead,
+    cos_t its (m, k) coordinate cosines cos(2 pi theta_i), which the
+    kernel hands back: an integrand's other factors run in the same pass.
+    """
     kernel = _kernel(*A.column_types, signed=True)
-    return _map_rows(lambda part: _exp_clamped(*kernel(part)), A, thetas)
+
+    def rows(part: np.ndarray) -> np.ndarray:
+        la, sign, cos_t = kernel(part, coords=combine is not None)
+        d = _exp_clamped(la, sign)
+        return d if combine is None else combine(d, cos_t)
+    return _map_rows(rows, A, thetas)
 
 
 def dhat(A: IncidenceMatrix, theta) -> float:
@@ -461,10 +620,17 @@ def dhat(A: IncidenceMatrix, theta) -> float:
     return float(dhat_batch(A, _theta_array(theta)[None, :])[0])
 
 
-def dhat_log_abs_batch(A: IncidenceMatrix, thetas) -> np.ndarray:
-    """log |dhat| for a batch, unclamped (-inf where a factor is exactly zero)."""
+def dhat_log_abs_batch(A: IncidenceMatrix, thetas, combine: Optional[Combine] = None) -> np.ndarray:
+    """log |dhat| for a batch, unclamped (-inf where a factor is exactly zero).
+
+    With combine, each slice's values are combine(log |dhat|, cos_t), as in
+    `dhat_batch`."""
     kernel = _kernel(*A.column_types, signed=False)
-    return _map_rows(lambda part: kernel(part)[0], A, thetas)
+
+    def rows(part: np.ndarray) -> np.ndarray:
+        la, _, cos_t = kernel(part, coords=combine is not None)
+        return la if combine is None else combine(la, cos_t)
+    return _map_rows(rows, A, thetas)
 
 
 BRUTEFORCE_MAX_N = 24
@@ -501,7 +667,7 @@ def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
     """|product of the first k column factors|; k = n gives |dhat|."""
     if not (0 <= k <= A.n):
         raise ValueError(f"k must lie in [0, {A.n}]")
-    la, _ = _kernel(A.columns_f64[:, :k], np.ones(k, dtype=np.int64), signed=False)(
+    la, _, _ = _kernel(A.columns_f64[:, :k], np.ones(k, dtype=np.int64), signed=False)(
         _theta_rows(_theta_array(theta), A.m))
     return float(_exp_clamped(la)[0])
 
@@ -509,19 +675,29 @@ def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
 Smoother = Union[SmoothingSpec, ParitySmoother]
 
 
-def _rhat_of(smoothing: Smoother) -> Callable[[np.ndarray], np.ndarray]:
-    """The smoother's transform as a function of a batch of theta rows."""
+def _rhat_of_cos(smoothing: Smoother, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The smoother's transform as a function of (m, k) coordinate cosines:
+    the elementwise steps and factor order of rhat_md and parity_rhat, so
+    its values are theirs bit for bit."""
     if isinstance(smoothing, SmoothingSpec):
-        return lambda th: rhat_md(smoothing.delta, th)
+        delta = smoothing.delta
+
+        def rhat(cos_t: np.ndarray) -> np.ndarray:
+            base = 0.5 + 0.5 * cos_t
+            return _row_product((base if delta == 1 else base ** delta).T)
+        return rhat
     if isinstance(smoothing, ParitySmoother):
-        return lambda th: parity_rhat(smoothing, th)
+        if smoothing.m != m:
+            raise ValueError("theta dimension does not match the smoother")
+        odd = list(smoothing.odd_rows)
+        return lambda cos_t: _row_product(cos_t[odd].T)
     raise TypeError(f"unsupported smoother {type(smoothing)!r}")
 
 
 def xhat_batch(A: IncidenceMatrix, smoothing: Smoother, thetas) -> np.ndarray:
-    """xhat at a batch of theta rows: dhat and rhat, each split across cores."""
-    rhat = _rhat_of(smoothing)
-    return dhat_batch(A, thetas) * _map_rows(rhat, A, thetas)
+    """xhat at a batch of theta rows: dhat times rhat, in one row split."""
+    rhat = _rhat_of_cos(smoothing, A.m)
+    return dhat_batch(A, thetas, lambda d, cos_t: d * rhat(cos_t))
 
 
 def xhat(A: IncidenceMatrix, smoothing: Smoother, theta) -> float:
@@ -851,9 +1027,9 @@ def far_region_integral(
     lse_max = -math.inf
     lse_sum = 0.0
 
-    def log_rhat(pts: np.ndarray) -> np.ndarray:
+    def add_log_rhat(la: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return include_rhat_delta * np.log(0.5 + 0.5 * np.cos(TWO_PI * pts)).sum(axis=1)
+            return la + include_rhat_delta * _sum_rows(np.log(0.5 + 0.5 * cos_t))
 
     def abs_integrand(pts: np.ndarray) -> np.ndarray:
         nonlocal lse_max, lse_sum
@@ -862,9 +1038,7 @@ def far_region_integral(
         if not far.any():
             return vals
         pts = pts[far]
-        la = dhat_log_abs_batch(A, pts)
-        if include_rhat_delta is not None:
-            la = la + _map_rows(log_rhat, A, pts)
+        la = dhat_log_abs_batch(A, pts, None if include_rhat_delta is None else add_log_rhat)
         finite = la[la > -math.inf]
         if finite.size:
             fmax = max(lse_max, float(finite.max()))

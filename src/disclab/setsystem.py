@@ -220,7 +220,7 @@ class IncidenceMatrix:
     def from_dict(cls, d: dict) -> "IncidenceMatrix":
         if not isinstance(d, dict):
             raise ValueError(f"instance must be a JSON object, not {type(d).__name__}")
-        m, n = int(d["m"]), int(d["n"])
+        m, n = _int_field(d, "m"), _int_field(d, "n")
         rows = d["rows"]
         if not isinstance(rows, list) or not all(isinstance(h, str) for h in rows):
             raise ValueError("instance rows must be a list of hex strings")
@@ -232,7 +232,7 @@ class IncidenceMatrix:
         bits = np.vstack([_hex_to_row(h, n) for h in rows])
         meta = GenMeta(
             p=p,
-            seed=None if d.get("seed") is None else int(d["seed"]),
+            seed=None if d.get("seed") is None else _int_field(d, "seed", minimum=None),
             generator=d.get("generator"),
         )
         return cls(bits, meta)
@@ -243,6 +243,19 @@ class IncidenceMatrix:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "IncidenceMatrix":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _int_field(d: dict, name: str, minimum: Optional[int] = 1) -> int:
+    """An integer field of an instance file, at least `minimum` if given.
+
+    JSON booleans, floats (2.5, and also 2.0), lists and null are refused
+    with a ValueError that names the field."""
+    value = d[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"instance field {name!r} must be an integer, not {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"instance field {name!r} must be at least {minimum}, not {value}")
+    return value
 
 
 class Coloring:

@@ -10,7 +10,7 @@ import disclab as dl
 from disclab import fourier as fr
 from disclab.rng import stream
 from disclab.setsystem import IncidenceMatrix
-from disclab.smoothing import half_lattice_points
+from disclab.smoothing import _row_product, half_lattice_points
 
 
 def test_dhat_examples():
@@ -720,3 +720,214 @@ def test_integrand_concurrent_callers_do_not_deadlock(monkeypatch):
             assert all(g == expected_p for g in got)
         else:
             assert all(np.array_equal(g, expected_x[0 if i == "n" else i]) for g in got)
+
+
+# -- the libm path against its einsum reference, bit for bit ---------------------
+
+
+def _einsum_rows(V, counts, signed, thetas):
+    """The libm path's row function before its type-major rewrite, kept as
+    the reference: one cos per column type (the zero type's too), the
+    sign from a count of the odd types' negative factors, and a row sum."""
+    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+    c = np.einsum("bi,ik->bk", thetas, V)
+    np.cos(np.multiply(c, fr.TWO_PI, out=c), out=c)
+    sign = None
+    if signed:
+        sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(c, out=c), out=c)
+    c *= weights
+    return c.sum(axis=1), sign
+
+
+def _reference_xhat(A, smoothing, pts):
+    la, sign = _einsum_rows(*A.column_types, True, pts)
+    if isinstance(smoothing, dl.ParitySmoother):
+        return fr._exp_clamped(la, sign) * dl.parity_rhat(smoothing, pts)
+    return fr._exp_clamped(la, sign) * dl.rhat_md(smoothing.delta, pts)
+
+
+def _random_types(rng, m, types, zero, missing):
+    """(V, counts): `types` distinct 0/1 columns of length m, with the zero
+    column if `zero`, without the unit columns of the coordinates in
+    `missing`, and random counts, odd and even."""
+    banned = {1 << i for i in missing} | ({0} if not zero else set())
+    pool = [v for v in range(1 << m) if v not in banned] or [0]
+    masks = rng.choice(np.array(pool, dtype=np.int64), size=min(types, len(pool)), replace=False)
+    if zero and 0 not in masks:
+        masks[0] = 0
+    V = ((masks[None, :] >> np.arange(m)[:, None]) & 1).astype(np.float64)
+    return V, rng.integers(1, 300, size=masks.size)
+
+
+def _points(rng, k, m):
+    """Cube points, tiny-ball points and exact zeros, shuffled."""
+    cube = rng.random((k, m)) - 0.5
+    g = rng.standard_normal((k, m))
+    tiny = g / np.linalg.norm(g, axis=1, keepdims=True) * 10.0 ** rng.uniform(-12, -3, (k, 1))
+    pts = np.concatenate([cube, tiny, np.zeros((1, m))])
+    return np.ascontiguousarray(pts[rng.permutation(len(pts))])
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_libm_kernel_matches_einsum_reference_bitwise(m):
+    rng = stream(40, m)
+    sizes = sorted({1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 127} | {int(rng.integers(1, 128))})
+    for types in sizes:
+        zero = bool(rng.integers(2))
+        missing = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist()
+        V, counts = _random_types(rng, m, types, zero, missing)
+        assert V.shape[1] < fr.TABLE_MIN_TYPES
+        pts = _points(rng, 150, m)
+        for th in (pts[:1], pts[:5], pts):
+            k = len(th)
+            for signed in (False, True):
+                la, sign, cos_t = fr._kernel(V, counts, signed)(th, coords=True)
+                ref_la, ref_sign = _einsum_rows(V, counts, signed, th)
+                assert _hex(la) == _hex(ref_la), (m, types, k)
+                assert (sign is None) == (not signed)
+                if signed:
+                    assert _hex(sign) == _hex(ref_sign), (m, types, k)
+                assert _hex(cos_t) == _hex(np.cos(fr.TWO_PI * th.T))
+                no_coords = fr._kernel(V, counts, signed)(th)
+                assert no_coords[2] is None and _hex(no_coords[0]) == _hex(la)
+
+
+def test_libm_kernel_repeated_unit_count_columns_bitwise():
+    # dhat_partial's case: the first k raw columns, repeats included, each
+    # with count one; also a few wide matrices that stay on the libm path.
+    rng = stream(41)
+    for m, n in ((1, 5), (3, 40), (5, 90), (8, 120), (12, 60)):
+        A = dl.sample_bernoulli(m, n, 0.5, int(rng.integers(2 ** 62)))
+        th = _points(rng, 50, m)
+        for k in (0, 1, 2, n // 2, n):
+            V, ones = A.columns_f64[:, :k], np.ones(k, dtype=np.int64)
+            la, _, _ = fr._kernel(V, ones, False)(th)
+            assert _hex(la) == _hex(_einsum_rows(V, ones, False, th)[0]), (m, n, k)
+            assert dl.dhat_partial(A, th[0], k) == float(
+                fr._exp_clamped(_einsum_rows(V, ones, False, th[:1])[0])[0])
+    V, counts = _random_types(rng, 12, 200, True, [3])  # 4 << 6 > 200 types
+    th = _points(rng, 40, 12)
+    la, sign, _ = fr._kernel(V, counts, True)(th)
+    ref_la, ref_sign = _einsum_rows(V, counts, True, th)
+    assert _hex(la) == _hex(ref_la) and _hex(sign) == _hex(ref_sign)
+
+
+def test_libm_kernel_blocks_keep_the_bits(monkeypatch):
+    A = dl.sample_bernoulli(6, 70, 0.5, 9)
+    th = _points(stream(42), 400, 6)
+    la, sign = _einsum_rows(*A.column_types, True, th)
+    s = dl.build_pmf(2)
+    expected = (_hex(fr._exp_clamped(la, sign)), _hex(la), _hex(_reference_xhat(A, s, th)))
+    for chunk in (1, 50, 4099):
+        monkeypatch.setattr(fr, "LIBM_CHUNK", chunk)
+        got = (_hex(fr.dhat_batch(A, th)), _hex(fr.dhat_log_abs_batch(A, th)),
+               _hex(fr.xhat_batch(A, s, th)))
+        assert got == expected, chunk
+
+
+def test_sum_rows_replays_numpy_row_sum():
+    rng = stream(43)
+    for n in range(0, 301):
+        for k in (1, 3, fr.REPLAY_MIN_POINTS):
+            x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 8, size=(k, n))
+            if n:
+                x[rng.random((k, n)) < 0.02] = -math.inf
+            expected = np.add.reduce(x, axis=1)
+            assert _hex(fr._sum_rows(np.ascontiguousarray(x.T))) == _hex(expected), (n, k)
+
+
+def _old_far(A, delta, samples, seed, inc):
+    """far_region_integral's integrand with the reference kernel and its
+    former row function for the smoother's log."""
+    lse = [-math.inf, 0.0]
+
+    def integrand(pts):
+        vals = np.zeros(len(pts))
+        far = fr._lattice_distance_sq(pts) >= delta ** 2
+        if not far.any():
+            return vals
+        pts = pts[far]
+        la = _einsum_rows(*A.column_types, False, pts)[0]
+        if inc is not None:
+            with np.errstate(divide="ignore"):
+                la = la + inc * np.log(0.5 + 0.5 * np.cos(fr.TWO_PI * pts)).sum(axis=1)
+        finite = la[la > -math.inf]
+        if finite.size:
+            fmax = max(lse[0], float(finite.max()))
+            lse[1] = lse[1] * math.exp(lse[0] - fmax) + float(np.exp(finite - fmax).sum())
+            lse[0] = fmax
+        vals[far] = fr._exp_clamped(la)
+        return vals
+
+    est = dl.integrate_mc(integrand, fr.Region.full_cube(A.m), samples, seed)
+    return est, lse[0] + math.log(lse[1]) - math.log(samples)
+
+
+@pytest.mark.parametrize("shape", [(2, 300, 1), (4, 400, 2), (7, 90, 3)])
+def test_integrands_match_einsum_reference_bitwise(shape):
+    # Each integrand's fused cofactor (xhat with both smoother kinds and
+    # several widths, the character, the near shells, the far region's
+    # smoother log) against the former separate evaluation, estimate by
+    # estimate, with every batch split across the pool.
+    from disclab.rng import child_seed
+    m, n, seed = shape
+    A = dl.sample_bernoulli(m, n, 0.5, seed)
+    parity = dl.ParitySmoother.from_matrix(A)
+    th = _points(stream(44, m), 500, m)
+    for s in (dl.build_pmf(0), dl.build_pmf(1), dl.build_pmf(3), parity):
+        assert _hex(fr.xhat_batch(A, s, th)) == _hex(_reference_xhat(A, s, th))
+    s1 = dl.build_pmf(1)
+    for lam in ([0] * m, [1] + [0] * (m - 1)):
+        target = np.array(lam, dtype=np.float64)
+        ref = dl.integrate_mc(
+            lambda p: _reference_xhat(A, s1, p) * np.cos(fr.TWO_PI * (p @ target)),
+            fr.Region.full_cube(m), 3000, 5)
+        assert dl.prob_fourier_mc(A, s1, lam, 3000, 5) == ref
+    assert dl.prob_even_variant(A, 2000, 8) == dl.integrate_mc(
+        lambda p: _reference_xhat(A, parity, p), fr.Region.quarter_cube(m), 2000, 8).scaled(2.0 ** m)
+    for inc in (None, 1, 2):
+        rep = dl.far_region_integral(A, 0.1, 3000, 4, include_rhat_delta=inc)
+        assert (rep.estimate, rep.log_mean) == _old_far(A, 0.1, 3000, 4, inc)
+    for delta in (1, 2):
+        s = dl.build_pmf(delta)
+        asm = dl.three_region_assembly(A, s, 2000, 6)
+        ball = fr.Region.origin_ball(m, asm.radius)
+
+        def shifted_rhat_sum(pts):
+            half_cos = 0.5 * np.cos(fr.TWO_PI * pts)
+            g0 = (0.5 + half_cos) ** delta
+            gh = (0.5 - half_cos) ** delta
+            return _row_product(g0 + 2.0 * gh) - _row_product(g0)
+
+        near = dl.integrate_mc(
+            lambda p: fr._exp_clamped(_einsum_rows(*A.column_types, False, p)[0]) * shifted_rhat_sum(p),
+            ball, 2000, child_seed(6, 1))
+        assert asm.central == dl.integrate_mc(lambda p: _reference_xhat(A, s, p), ball, 2000,
+                                              child_seed(6, 0))
+        assert asm.near == near
+        assert (asm.far.estimate, asm.far.log_mean) == _old_far(A, asm.radius, 2000,
+                                                                child_seed(6, 2), delta)
+
+
+def test_integrands_enter_the_kernel_on_the_calling_thread(monkeypatch):
+    # The kernel functions are entered on the caller's thread only; their
+    # slices run on the pool, but no kernel-named function does.
+    from disclab import inversion
+    A = dl.sample_bernoulli(3, 200, 0.5, 1)
+    s = dl.build_pmf(1)
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(fr, "_worker_count", lambda: 3)
+    threads = set()
+    for name in ("dhat_batch", "dhat_log_abs_batch"):
+        def wrapped(*args, real=getattr(fr, name), **kwargs):
+            threads.add(threading.current_thread().name)
+            return real(*args, **kwargs)
+        for mod in (fr, inversion):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    dl.prob_fourier_mc(A, s, [1, 0, 0], 3000, 1)
+    dl.prob_even_variant(A, 3000, 2)
+    dl.three_region_assembly(A, s, 3000, 3)
+    assert threads == {threading.current_thread().name}

@@ -283,6 +283,15 @@ _GOOD = IncidenceMatrix([[1, 0, 1], [0, 1, 1]]).to_dict()
     (dict(_GOOD, rows=None), "rows must be a list of hex strings"),
     (dict(_GOOD, rows=[1, 2]), "rows must be a list of hex strings"),
     (dict(_GOOD, p=7), "outside [0, 1]"),
+    (dict(_GOOD, m=None), "field 'm' must be an integer, not null"),
+    (dict(_GOOD, m=True), "field 'm' must be an integer, not true"),
+    (dict(_GOOD, n=2.5), "field 'n' must be an integer, not 2.5"),
+    (dict(_GOOD, n=[3]), "field 'n' must be an integer, not [3]"),
+    (dict(_GOOD, seed=[1]), "field 'seed' must be an integer, not [1]"),
+    (dict(_GOOD, seed=False), "field 'seed' must be an integer, not false"),
+    (dict(_GOOD, seed=2.5), "field 'seed' must be an integer, not 2.5"),
+    (dict(_GOOD, n=-4), "field 'n' must be at least 1, not -4"),
+    (dict(_GOOD, m=0, rows=[]), "field 'm' must be at least 1, not 0"),
 ])
 @pytest.mark.parametrize("command", [
     ["invert", "--samples", "100"],
@@ -298,6 +307,11 @@ def test_cli_malformed_instance_is_usage_error(tmp_path, capsys, doc, message, c
     assert _one_error_line(captured.err), captured.err
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_instance_seed_may_be_null_or_negative():
+    for seed in (None, -3, 0, 2 ** 70):
+        assert IncidenceMatrix.from_dict(dict(_GOOD, seed=seed)).meta.seed == seed
 
 
 def test_instance_p_bounds_are_inclusive():
