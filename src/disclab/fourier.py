@@ -56,7 +56,8 @@ from .setsystem import IncidenceMatrix, max_column_frequency
 from .smoothing import (
     ParitySmoother,
     SmoothingSpec,
-    _row_product,
+    _parity_rhat_of_cos,
+    _rhat_md_of_cos,
     _sampled_lattice_points,
     half_lattice_points,
     rhat_md,
@@ -118,12 +119,6 @@ TABLE_MIN_TYPES = 128
 # per slice (8 MB at m = 4) raised the peak RSS of the m <= 4 benchmark
 # workload by 10 MB.
 LIBM_CHUNK = 1 << 18
-
-# Points from which the libm path's weighted logs are summed over type rows
-# in numpy's pairwise order instead of by a row sum of a transposed copy:
-# on that Xeon the copy was 2-25x faster up to 16 points and tied at 256
-# (about 5 numpy calls against 10-30), the replay up to 5x faster beyond.
-REPLAY_MIN_POINTS = 256
 
 # Points x column types per block of the angle-addition path: its three
 # (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. On that Xeon with two
@@ -351,12 +346,9 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     """Sum of the rows of a (n, k) array, bit for bit x.T.sum(axis=1) on a
     C-contiguous copy, which sums each of its rows pairwise: in turn below
     8 values, in 8 interleaved accumulators up to 128, and above that as
-    the sum of two halves cut at a multiple of 8. From REPLAY_MIN_POINTS
-    columns on, this replays that order over whole rows, with no transposed
-    copy, and overwrites x."""
+    the sum of two halves cut at a multiple of 8. This replays that order
+    over whole rows, with no transposed copy, and overwrites x."""
     n = x.shape[0]
-    if x.shape[1] < REPLAY_MIN_POINTS:
-        return np.ascontiguousarray(x.T).sum(axis=1)
     if n > 128:
         half = n // 2 - (n // 2) % 8
         return _sum_rows(x[:half]) + _sum_rows(x[half:])
@@ -382,8 +374,8 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     """log|.| (unclamped) and, if signed, the sign of
     prod_v cos(2 pi <V^v, theta>)^counts[v] over 0/1 columns V^v, as a
     function rows(thetas, coords=False) of a (k, m) batch of theta rows;
-    the sign is None otherwise. With coords, rows also returns the (m, k)
-    coordinate cosines cos(2 pi theta_i), else None.
+    the sign is None otherwise. With coords, rows also returns the (k, m)
+    coordinate cosines cos(2 pi theta_i) (a transposed view), else None.
 
     The factors come from one of two paths, chosen by the number T of
     column types. Below TABLE_MIN_TYPES the libm cos dominates the cost,
@@ -443,7 +435,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             with np.errstate(divide="ignore"):
                 np.log(np.abs(logs, out=logs), out=logs)
             logs *= type_weights
-            return _sum_rows(logs), sign, ang[:m] if coords else None
+            return _sum_rows(logs), sign, ang[:m].T if coords else None
 
         def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
             k = thetas.shape[0]
@@ -451,7 +443,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                 return block(thetas, np.empty((height, k)), coords)
             la = np.empty(k)
             sign = np.empty(k) if signed else None
-            cos_t = np.empty((m, k)) if coords else None
+            cos_t = np.empty((k, m)) if coords else None
             # Reused by every block: fresh arrays of this size cost page faults.
             flat = np.empty(height * step)
             for start in range(0, k, step):
@@ -461,7 +453,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                 if signed:
                     sign[part] = s
                 if coords:
-                    cos_t[:, part] = c
+                    cos_t[part] = c
             return la, sign, cos_t
         return rows
 
@@ -499,7 +491,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                 np.log(np.abs(c, out=c), out=c)
             weighted = flat[1, :types * points].reshape(points, types)  # s's memory
             la[part] = np.multiply(c.T, weights, out=weighted).sum(axis=1)
-        return la, sign, cos_t if coords else None
+        return la, sign, cos_t.T if coords else None
     return rows
 
 
@@ -603,7 +595,7 @@ def dhat_batch(A: IncidenceMatrix, thetas, combine: Optional[Combine] = None) ->
 
     The kernel and the clamped exp of each row run together on one core.
     With combine, each slice's values are combine(dhat, cos_t) instead,
-    cos_t its (m, k) coordinate cosines cos(2 pi theta_i), which the
+    cos_t its (k, m) coordinate cosines cos(2 pi theta_i), which the
     kernel hands back: an integrand's other factors run in the same pass.
     """
     kernel = _kernel(*A.column_types, signed=True)
@@ -676,21 +668,13 @@ Smoother = Union[SmoothingSpec, ParitySmoother]
 
 
 def _rhat_of_cos(smoothing: Smoother, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The smoother's transform as a function of (m, k) coordinate cosines:
-    the elementwise steps and factor order of rhat_md and parity_rhat, so
-    its values are theirs bit for bit."""
+    """The smoother's transform as a function of (k, m) coordinate cosines."""
     if isinstance(smoothing, SmoothingSpec):
-        delta = smoothing.delta
-
-        def rhat(cos_t: np.ndarray) -> np.ndarray:
-            base = 0.5 + 0.5 * cos_t
-            return _row_product((base if delta == 1 else base ** delta).T)
-        return rhat
+        return lambda cos_t: _rhat_md_of_cos(smoothing.delta, cos_t)
     if isinstance(smoothing, ParitySmoother):
         if smoothing.m != m:
             raise ValueError("theta dimension does not match the smoother")
-        odd = list(smoothing.odd_rows)
-        return lambda cos_t: _row_product(cos_t[odd].T)
+        return lambda cos_t: _parity_rhat_of_cos(smoothing, cos_t)
     raise TypeError(f"unsupported smoother {type(smoothing)!r}")
 
 
@@ -1029,7 +1013,7 @@ def far_region_integral(
 
     def add_log_rhat(la: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return la + include_rhat_delta * _sum_rows(np.log(0.5 + 0.5 * cos_t))
+            return la + include_rhat_delta * _sum_rows(np.log(0.5 + 0.5 * cos_t.T))
 
     def abs_integrand(pts: np.ndarray) -> np.ndarray:
         nonlocal lse_max, lse_sum

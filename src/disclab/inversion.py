@@ -290,7 +290,7 @@ def three_region_assembly(
         half_cos = 0.5 * cos_t
         g0 = (0.5 + half_cos) ** delta
         gh = (0.5 - half_cos) ** delta
-        return _exp_clamped(la) * (_row_product((g0 + 2.0 * gh).T) - _row_product(g0.T))
+        return _exp_clamped(la) * (_row_product(g0 + 2.0 * gh) - _row_product(g0))
 
     near = integrate_mc(
         lambda pts: dhat_log_abs_batch(A, pts, near_shells),

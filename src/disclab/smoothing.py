@@ -154,9 +154,14 @@ def _row_product(factors: np.ndarray) -> np.ndarray:
 def rhat_md(delta: int, theta) -> np.ndarray:
     """Product of 1-d transforms along the last axis (batch friendly)."""
     arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
-    base = 0.5 + 0.5 * np.cos(2.0 * np.pi * arr)
-    out = _row_product(base if delta == 1 else base ** delta)
+    out = _rhat_md_of_cos(delta, np.cos(2.0 * np.pi * arr))
     return float(out) if out.ndim == 0 else out
+
+
+def _rhat_md_of_cos(delta: int, cos_t: np.ndarray) -> np.ndarray:
+    """rhat_md from the coordinate cosines cos(2 pi theta_i), bit for bit."""
+    base = 0.5 + 0.5 * cos_t
+    return _row_product(base if delta == 1 else base ** delta)
 
 
 def parity_rhat(smoother: ParitySmoother, theta) -> np.ndarray:
@@ -164,8 +169,13 @@ def parity_rhat(smoother: ParitySmoother, theta) -> np.ndarray:
     arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
     if arr.shape[-1] != smoother.m:
         raise ValueError("theta dimension does not match the smoother")
-    out = _row_product(np.cos(2.0 * np.pi * arr[..., list(smoother.odd_rows)]))
+    out = _parity_rhat_of_cos(smoother, np.cos(2.0 * np.pi * arr))
     return float(out) if out.ndim == 0 else out
+
+
+def _parity_rhat_of_cos(smoother: ParitySmoother, cos_t: np.ndarray) -> np.ndarray:
+    """parity_rhat from the coordinate cosines cos(2 pi theta_i), bit for bit."""
+    return _row_product(cos_t[..., list(smoother.odd_rows)])
 
 
 def rho(delta: int, grid_step: float = RHO_GRID_STEP) -> float:

@@ -789,7 +789,7 @@ def test_libm_kernel_matches_einsum_reference_bitwise(m):
                 assert (sign is None) == (not signed)
                 if signed:
                     assert _hex(sign) == _hex(ref_sign), (m, types, k)
-                assert _hex(cos_t) == _hex(np.cos(fr.TWO_PI * th.T))
+                assert _hex(cos_t) == _hex(np.cos(fr.TWO_PI * th))
                 no_coords = fr._kernel(V, counts, signed)(th)
                 assert no_coords[2] is None and _hex(no_coords[0]) == _hex(la)
 
@@ -830,12 +830,23 @@ def test_libm_kernel_blocks_keep_the_bits(monkeypatch):
 def test_sum_rows_replays_numpy_row_sum():
     rng = stream(43)
     for n in range(0, 301):
-        for k in (1, 3, fr.REPLAY_MIN_POINTS):
+        for k in (1, 3, 300):
             x = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 8, size=(k, n))
             if n:
                 x[rng.random((k, n)) < 0.02] = -math.inf
             expected = np.add.reduce(x, axis=1)
             assert _hex(fr._sum_rows(np.ascontiguousarray(x.T))) == _hex(expected), (n, k)
+
+
+def test_table_kernel_hands_back_coordinate_cosines():
+    m, n, seed = TABLE_INSTANCE
+    A = dl.sample_bernoulli(m, n, 0.5, seed)
+    V, counts = A.column_types
+    assert V.shape[1] >= fr.TABLE_MIN_TYPES
+    th = _points(stream(45), 300, m)
+    assert _hex(fr._kernel(V, counts, True)(th, coords=True)[2]) == _hex(np.cos(fr.TWO_PI * th))
+    s = dl.build_pmf(2)
+    assert _hex(fr.xhat_batch(A, s, th)) == _hex(fr.dhat_batch(A, th) * dl.rhat_md(2, th))
 
 
 def _old_far(A, delta, samples, seed, inc):
