@@ -138,6 +138,8 @@ def _cmd_gen(args) -> int:
 def _cmd_disc(args) -> int:
     A = IncidenceMatrix.load(args.infile)
     if args.solver == "exhaustive":
+        if args.target < 0:
+            raise ValueError("target must be nonnegative")
         best, witness = sv.exhaustive_min_disc(A)
         found = best <= args.target
         payload = {"found": found, "disc": best,

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 0 or self.budget < 1:
             raise ValueError("trials must be >= 0 and budget >= 1")
+        if self.target < 0:
+            raise ValueError("target must be nonnegative")
         for m in self.m_list:
             n = derived_n(self.C, m)
             if n > SIZE_CAP_N:

@@ -4,16 +4,16 @@ at desk scale, and the counting upper bound on good colorings.
 None of these carries a guarantee; existence in the random regime is a
 probabilistic fact and every routine here is a plain search heuristic.
 The exact minimum and the count of good colorings walk colorings in
-Gray-code order so consecutive states differ in a single sign and the
-discrepancy vector is updated incrementally; the per-step updates are
-batched into numpy cumulative sums, which keeps the cost per coloring at
-O(m) without a Python-level inner loop and the memory bounded. The full
-law of A x is a dynamic program over the column types instead, whose
-cost grows with the number of distinct values of A x rather than 2^n.
-The random walk draws its flips in blocks and replays each block in
-numpy: per-row running sums over the (flip, row) events give A x after
-every flip, so a flip costs O(degree of its column), as it would in a
-per-flip loop, without one.
+reflected Gray-code order, in blocks of 2^12: the discrepancy vectors of
+the low 12 free columns are tabulated once, and each block adds the sum
+of its high columns to that table (read backwards in odd blocks), with
+consecutive blocks one high column apart. That is O(m) per coloring in
+numpy with memory O(m 2^12) for any n. The full law of A x is a dynamic
+program over the column types instead, whose cost grows with the number
+of distinct values of A x rather than 2^n. The random walk draws its
+flips in blocks and replays each block in numpy, one flip per row of an
+(flips, m) array of running sums, so a flip costs O(m) without a
+per-flip Python loop.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ __all__ = [
 
 EXHAUSTIVE_MAX_N = 30
 _CHUNK = 1 << 14
-_DRAW_BLOCK = 8192  # flips per draw of the random walk; part of its per-seed trajectory
-_FIRST_STEP_EVENTS = 1 << 10  # (flip, row) events in the walk's first replay step
-_STEP_EVENTS = 1 << 15  # cap on a replay step's events; each step doubles up to it
+_GRAY_LOW_BITS = 12  # free columns in the enumeration's table of low sums
+_DRAW_BITS = 13
+_DRAW_BLOCK = 1 << _DRAW_BITS  # flips per draw of the random walk; part of its per-seed trajectory
+_STEP_CELLS = 1 << 16  # cap on flips x rows in one replay step of the walk
 
 
 @dataclass(frozen=True)
@@ -74,36 +75,34 @@ def _coloring_from_gray_index(A: IncidenceMatrix, index: int, fix_first: bool) -
     return Coloring(signs)
 
 
-def _gray_disc_chunks(
-    A: IncidenceMatrix, fix_first: bool = True, chunk: int = _CHUNK
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (start_index, D_block) over Gray-ordered colorings.
+def _gray_disc_chunks(A: IncidenceMatrix, fix_first: bool = True) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (start_index, disc) over Gray-ordered colorings.
 
-    D_block[k] is the signed discrepancy at Gray index start_index + k.
-    Index 0 is the all +1 coloring; when fix_first is set the first sign
-    stays +1 and only 2^(n-1) sign classes are visited.
+    disc[k] is max_i |(A x)_i| at Gray index start_index + k. Index 0 is
+    the all +1 coloring; when fix_first is set the first sign stays +1 and
+    only 2^(n-1) sign classes are visited. With L low free columns, index
+    h 2^L + l has the reflected code gray(h) 2^L + gray(l) for even h and
+    gray(h) 2^L + gray(2^L - 1 - l) for odd h. So each block h is the
+    table of low sums, read backwards when h is odd, plus the sum of the
+    high columns, which changes in one column from block to block.
     """
-    nbits = A.n - 1 if fix_first else A.n
-    offset = 1 if fix_first else 0
-    cols = np.ascontiguousarray(A.bits.T.astype(np.int32))  # (n, m)
-    state = A.row_sums.astype(np.int32)  # D at Gray index 0
-    total = 1 << nbits
-    start = 0
-    while start < total:
-        size = min(chunk, total - start)
-        steps = np.arange(start, start + size, dtype=np.int64)
-        deltas = np.zeros((size, A.m), dtype=np.int32)
-        nz = steps > 0  # step 0 flips nothing
-        if nz.any():
-            s = steps[nz]
-            flip_bit = np.log2(s & -s).astype(np.int64)
-            after = (_gray_code(s) >> flip_bit) & 1
-            direction = np.where(after == 1, -2, 2).astype(np.int32)
-            deltas[nz] = direction[:, None] * cols[flip_bit + offset]
-        block = state[None, :] + np.cumsum(deltas, axis=0, dtype=np.int32)
-        yield start, block
-        state = block[-1]
-        start += size
+    free = A.bits.T[1 if fix_first else 0:].astype(np.int8)  # |A x| <= n <= 30 fits int8
+    low = min(len(free), _GRAY_LOW_BITS)
+    table = A.row_sums.astype(np.int8)[:, None]  # (m, 2^b) in Gray order after b steps
+    for b in range(low):
+        table = np.concatenate((table, table[:, ::-1] - 2 * free[b][:, None]), axis=1)
+    tables = (table, np.ascontiguousarray(table[:, ::-1]))
+    high = np.zeros(A.m, dtype=np.int8)
+    block = np.empty_like(table)
+    for h in range(1 << (len(free) - low)):
+        if h:
+            b = (h & -h).bit_length() - 1  # the high bit that gray(h) flips
+            if (_gray_code(h) >> b) & 1:
+                high -= 2 * free[low + b]
+            else:
+                high += 2 * free[low + b]
+        np.add(tables[h & 1], high[:, None], out=block)
+        yield h << low, np.abs(block, out=block).max(axis=0)
 
 
 def _parity_floor(A: IncidenceMatrix) -> int:
@@ -122,8 +121,7 @@ def exhaustive_min_disc(A: IncidenceMatrix) -> Tuple[int, Coloring]:
     floor = _parity_floor(A)
     best = None
     best_index = 0
-    for start, block in _gray_disc_chunks(A, fix_first=True):
-        disc = np.abs(block).max(axis=1)
+    for start, disc in _gray_disc_chunks(A, fix_first=True):
         k = int(np.argmin(disc))
         if best is None or int(disc[k]) < best:
             best = int(disc[k])
@@ -131,7 +129,8 @@ def exhaustive_min_disc(A: IncidenceMatrix) -> Tuple[int, Coloring]:
             if best == floor:
                 break
     witness = _coloring_from_gray_index(A, best_index, fix_first=True)
-    assert disc_of_coloring(A, witness) == best
+    if disc_of_coloring(A, witness) != best:
+        raise RuntimeError("internal error: witness fails independent verification")
     return best, witness
 
 
@@ -140,8 +139,8 @@ def count_colorings_within(A: IncidenceMatrix, delta: int) -> int:
     if A.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"refusing exhaustive enumeration for n={A.n} > {EXHAUSTIVE_MAX_N}")
     half_count = 0
-    for _, block in _gray_disc_chunks(A, fix_first=True):
-        half_count += int((np.abs(block).max(axis=1) <= delta).sum())
+    for _, disc in _gray_disc_chunks(A, fix_first=True):
+        half_count += int(np.count_nonzero(disc <= delta))
     return 2 * half_count  # x and -x have equal discrepancy
 
 
@@ -203,102 +202,85 @@ def random_search(A: IncidenceMatrix, target: int, budget: int, seed: int) -> Se
     outcome.
 
     The flipped columns are drawn `_DRAW_BLOCK` at a time and each draw
-    is replayed in numpy (`_replay`) over its (flip, row) events, one per
-    set containing the flipped element, so a flip costs O(degree of its
-    column) and no O(m) or O(n) work is done per flip. The coloring,
-    `flips` and `trials` equal those of the plain per-flip loop at every
-    seed. A replay step holds at most max(`_STEP_EVENTS`, m) events, of
-    about 50 bytes each, and one draw of flips: under 2 MB for m <= 2^15,
-    whatever n is. Steps start at `_FIRST_STEP_EVENTS` and double, so a
-    walk that hits early replays few flips past its hit.
+    is replayed in numpy (`_replay`) in steps of k = `_STEP_CELLS` // m
+    flips (at least 1, at most a draw): the step's changes of A x, one
+    row of m per flip, are summed down the flips, so a flip costs O(m),
+    whatever the degree of its column, and no Python code runs per flip.
+    The coloring, `flips` and `trials` equal those of the plain per-flip
+    loop at every seed. Besides the 2 n m int32 table of column changes,
+    a step holds two (k, m) int32 arrays, reused from step to step, and a
+    few of k elements: under 1 MB for m <= `_STEP_CELLS`, whatever n is.
+    Reusing the two arrays matters: allocated per step, they are mmapped
+    and page-faulted in afresh each time.
     """
     if budget < 1:
         raise ValueError("budget must be at least one trial")
+    if target < 0:
+        raise ValueError("target must be nonnegative")
     rng = stream(seed)
-    n = A.n
+    n, m = A.n, A.m
     x = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
     D = A.bits.astype(np.int32) @ x.astype(np.int32)  # |D_i| <= n
-    bad = int((np.abs(D) > target).sum())
-    if bad == 0:
+    if int(np.abs(D).max()) <= target:
         return _verified(A, Coloring(x), target, flips=0, trials=1)
-    # Column supports in CSR form. Rows and columns are sort keys in the
-    # smallest unsigned type, so that numpy's stable sort is a radix sort.
-    rows = np.nonzero(A.bits.T)[1].astype(np.min_scalar_type(A.m - 1))
-    deg = A.col_sums
-    ptr = np.concatenate(([0], np.cumsum(deg)))
-    col_key = np.min_scalar_type(n - 1)
+    # Row 2j is the change of D when sign j turns +1, row 2j + 1 when it turns -1.
+    cols = 2 * np.ascontiguousarray(A.bits.T, dtype=np.int32)
+    turns = np.stack((cols, -cols), axis=1).reshape(2 * n, m)
+    k = max(1, min(_DRAW_BLOCK, _STEP_CELLS // m))
+    # Sort keys (column, position in step) in int32 while they fit.
+    pos = np.arange(k, dtype=np.int32 if n <= 1 << (31 - _DRAW_BITS) else np.int64)
+    D_run = np.empty((k, m), dtype=np.int32)
+    by_row = np.empty((m, k), dtype=np.int32)
     flips = 0
-    step_events = _FIRST_STEP_EVENTS
     while flips < budget - 1:
-        js = rng.integers(0, n, size=min(_DRAW_BLOCK, budget - 1 - flips)).astype(col_key)
-        ends = np.cumsum(deg[js])
-        lo = 0
-        while lo < js.size:
-            before = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, before + step_events, side="right")))
-            step_events = min(2 * step_events, _STEP_EVENTS)
-            hit, bad = _replay(js[lo:hi], x, D, bad, target, ptr, rows, deg)
+        js = rng.integers(0, n, size=min(_DRAW_BLOCK, budget - 1 - flips))
+        for lo in range(0, js.size, k):
+            hit = _replay(js[lo:lo + k], x, D, target, turns, pos, D_run, by_row)
             if hit:
                 flips += lo + hit
                 return _verified(A, Coloring(x), target, flips=flips, trials=flips + 1)
-            lo = hi
         flips += js.size
     return SearchResult(coloring=None, disc=None, flips=flips, trials=flips + 1)
 
 
-def _replay(js, x, D, bad, target, ptr, rows, deg) -> Tuple[int, int]:
+def _replay(js, x, D, target, turns, pos, D_run, by_row) -> int:
     """Apply the flips of columns js to the coloring x and its D = A x.
 
-    Stops after the first flip that leaves no row with |D_i| > target and
-    returns (that flip's 1-based position, 0); returns (0, rows still
-    bad) when no flip does. x, D and bad advance to the stopping state,
-    except that D is stale after a hit (the walk then ends).
+    Stops after the first flip that leaves max_i |D_i| <= target and
+    returns its 1-based position; returns 0 when no flip does. x and D
+    advance to the stopping state, except that D is stale after a hit
+    (the walk then ends). D_run and by_row are work arrays of at least
+    len(js) rows and columns.
     """
     k = js.size
     # New sign of each flip: minus the column's sign before this step,
-    # times -1 per earlier flip of the same column in the step.
-    order = np.argsort(js, kind="stable")
-    by_col = js[order]
-    pos = np.arange(k, dtype=np.int32)
-    first = np.ones(k, dtype=bool)
-    np.not_equal(by_col[1:], by_col[:-1], out=first[1:])
-    earlier = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    step = np.empty(k, dtype=np.int8)
-    step[order] = (4 * (earlier & 1) - 2).astype(np.int8) * x[by_col]  # 2 * new sign
-    # One event per (flip, row of the flipped column), in flip order.
-    d = deg[js]
-    ends = np.cumsum(d)
-    total = int(ends[-1])
-    if total == 0:
-        return 0, bad  # only empty columns were flipped
-    ev_row = rows[np.arange(total) - np.repeat(ends - d - ptr[js], d)]
-    ev_step = np.repeat(step, d)
-    # D_i after each event: running sums per row; the stable sort keeps
-    # each row's events in flip order.
-    by_row = np.argsort(ev_row, kind="stable")
-    r = ev_row[by_row]
-    s = ev_step[by_row]
-    run = np.cumsum(s, dtype=np.int32)
-    starts = np.ones(total, dtype=bool)
-    np.not_equal(r[1:], r[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    sizes = np.diff(np.append(starts, total))
-    now = run + np.repeat(D[r[starts]] - (run[starts] - s[starts]), sizes)
-    bad_change = (np.abs(now) > target).view(np.int8) - (np.abs(now - s) > target).view(np.int8)
-    per_event = np.empty(total, dtype=np.int8)
-    per_event[by_row] = bad_change
-    bad_after = bad + np.concatenate(([0], np.cumsum(per_event, dtype=np.int32)))[ends]
-    hit = np.flatnonzero(bad_after == 0)
+    # times -1 per earlier flip of the same column in the step. The keys
+    # (column, position) are distinct, so any sort orders them stably.
+    p = pos[:k]
+    key = np.sort((js.astype(p.dtype) << _DRAW_BITS) | p)
+    by_col = key >> _DRAW_BITS
+    first = np.concatenate(([True], by_col[1:] != by_col[:-1]))
+    earlier = p - np.maximum.accumulate(np.where(first, p, 0))
+    neg = (x[by_col] > 0) ^ (earlier & 1).astype(bool)  # the flip turns the sign to -1
+    rows = np.empty(k, dtype=p.dtype)
+    rows[key & (_DRAW_BLOCK - 1)] = (by_col << 1) | neg
+    # D after each flip, one row per flip, shifted by target: then
+    # |D_i| <= target reads as D_i + target <= 2 target in uint32.
+    run = D_run[:k]
+    np.take(turns, rows, axis=0, out=run, mode="clip")
+    run[0] += D + target
+    np.cumsum(run, axis=0, out=run)
+    across = by_row[:, :k]
+    np.copyto(across, run.T)  # max over axis 0 of (m, k) is the fast reduction
+    hit = np.flatnonzero(across.view(np.uint32).max(axis=0) <= 2 * target)
     if hit.size:
         t = int(hit[0]) + 1
         x[np.bincount(js[:t], minlength=x.size) & 1 == 1] *= -1
-        return t, 0
-    last = np.append(starts[1:], total) - 1
-    D[r[last]] = now[last]
-    groups = np.flatnonzero(first)
-    odd = np.diff(np.append(groups, k)) & 1 == 1
-    x[by_col[groups[odd]]] *= -1
-    return 0, int(bad_after[-1])
+        return t
+    D[:] = run[-1] - target
+    last = np.append(first[1:], True)
+    x[by_col[last]] = 1 - 2 * neg[last]
+    return 0
 
 
 def local_search(
@@ -318,6 +300,8 @@ def local_search(
     """
     if restarts < 1 or max_flips < 0:
         raise ValueError("restarts must be >= 1 and max_flips >= 0")
+    if target < 0:
+        raise ValueError("target must be nonnegative")
     cols_f = A.columns_f64  # (m, n)
     cols_i = A.bits.astype(np.int64)
     col_norms = 4.0 * A.col_sums.astype(np.float64)

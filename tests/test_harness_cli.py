@@ -34,6 +34,8 @@ def test_config_rejects_oversized_n():
         hz.ExperimentConfig(m_list=[], C=4.0)
     with pytest.raises(ValueError):
         hz.ExperimentConfig(m_list=[3], solver="sdp")
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        hz.ExperimentConfig(m_list=[3], target=-1)
 
 
 def test_theorem_experiment_zero_trials():
@@ -370,3 +372,36 @@ def test_readme_command_line_example_runs(tmp_path, monkeypatch, capsys):
             argv[argv.index("--samples") + 1] = "4096"
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["disc", "--solver", "random", "--budget", "1000"],
+    ["disc", "--solver", "local", "--budget", "1000"],
+    ["disc", "--solver", "exhaustive"],
+    ["experiment", "theorem", "--m-list", "3", "--trials", "2", "--budget", "1000"],
+])
+def test_cli_negative_target_is_usage_error(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    IncidenceMatrix([[1, 0, 1], [0, 1, 1]]).save(inst)
+    if command[0] == "disc":
+        command = command + ["--in", str(inst)]
+    code = main(command + ["--target", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _one_error_line(captured.err), captured.err
+    assert "target must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_failed_witness_check_exits_1(tmp_path, capsys, monkeypatch):
+    # a witness that does not reach the enumerated minimum is an internal
+    # error, raised as RuntimeError also under python -O
+    inst = tmp_path / "inst.json"
+    IncidenceMatrix([[1, 1, 0], [0, 1, 1]]).save(inst)
+    monkeypatch.setattr(dl.solvers, "_coloring_from_gray_index",
+                        lambda A, index, fix_first: dl.Coloring([1] * A.n))
+    code = main(["disc", "--in", str(inst), "--solver", "exhaustive"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: internal error: witness fails independent verification\n"
+    assert captured.out == ""

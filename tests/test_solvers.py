@@ -40,6 +40,44 @@ def test_exhaustive_matches_brute_force():
         assert dl.disc_of_coloring(A, witness) == got
 
 
+def first_min_in_gray_order(A):
+    """(minimum, signs, Gray index) of the first minimal coloring in Gray
+    order with the first sign fixed to +1, by a plain loop."""
+    rows = A.bits.astype(int).tolist()
+    best = None
+    for g in range(2 ** (A.n - 1)):
+        code = g ^ (g >> 1)
+        signs = [1] + [-1 if (code >> b) & 1 else 1 for b in range(A.n - 1)]
+        disc = max(abs(sum(a * s for a, s in zip(row, signs))) for row in rows)
+        if best is None or disc < best[0]:
+            best = (disc, signs, g)
+    return best
+
+
+def test_exhaustive_witness_is_first_minimum_in_gray_order():
+    # n - 1 free signs: below, at and above the 12 of the enumeration's low
+    # table. Above it, a row {0, j} makes every coloring of discrepancy at
+    # most 1 give sign j = -1, so the witness moves past the first block,
+    # into blocks that read the low table backwards as well as forwards.
+    rng = stream(57)
+    blocks = set()
+    for n in [1] * 2 + list(range(2, 13)) * 3 + [13] * 3 + [14] * 4 + [15] * 4:
+        m = int(rng.integers(1, 7))
+        bits = dl.sample_bernoulli(m, n, float(rng.choice([0.3, 0.5, 0.8])),
+                                   int(rng.integers(2 ** 62))).bits
+        if n > 13:
+            pair = np.zeros((1, n), dtype=np.uint8)
+            pair[0, [0, int(rng.integers(13, n))]] = 1
+            bits = np.vstack((bits, pair))
+        A = IncidenceMatrix(bits)
+        best, signs, index = first_min_in_gray_order(A)
+        got, witness = dl.exhaustive_min_disc(A)
+        assert got == best
+        assert witness.signs.tolist() == signs
+        blocks.add(index >> 12)
+    assert {0, 1, 2} <= blocks  # the first block, an odd one and a later even one
+
+
 def test_exhaustive_respects_parity_floor():
     rng = stream(52)
     for _ in range(20):
@@ -47,6 +85,14 @@ def test_exhaustive_respects_parity_floor():
         d, _ = dl.exhaustive_min_disc(A)
         if (A.row_sums % 2 == 1).any():
             assert d >= 1
+
+
+def test_negative_target_is_rejected():
+    A = IncidenceMatrix([[1, 1]])
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        dl.random_search(A, -1, 1000, seed=0)
+    with pytest.raises(ValueError, match="target must be nonnegative"):
+        dl.local_search(A, -1, restarts=1, max_flips=10, seed=0)
 
 
 def test_exhaustive_refuses_large_n():
@@ -213,6 +259,14 @@ def test_random_search_equals_loop_on_edge_cases():
         bits[i, pair] = 1
     res = assert_same_walk(IncidenceMatrix(bits), 0, 20000, seed=18)
     assert res.found and res.flips == 8192
+    # m = 40: a draw spans several replay steps of k flips; a hit on the
+    # first flip of the fifth step of the second draw, and one on the last
+    # flip of the fourth step of the first draw
+    k = sv._STEP_CELLS // 40
+    res = assert_same_walk(dl.sample_bernoulli(40, 50, 0.5, 24), 4, 20000, seed=3)
+    assert res.found and res.flips - 1 == 8192 + 4 * k
+    res = assert_same_walk(dl.sample_bernoulli(40, 80, 0.5, 3), 6, 20000, seed=45)
+    assert res.found and res.flips == 4 * k
 
 
 def test_random_search_trivial_target():
