@@ -7,7 +7,7 @@ the sampling, the seeding, the block order or the moment accounting
 moves a bit and fails here. The last entry, `asm_central_m10`, was
 recorded later, on an instance with 602 column types, so it pins the
 angle-addition path of the transform kernel; every other instance has at
-most 94 types and runs one libm cos per type.
+most 94 types and runs its libm path, one cos per distinct nonzero angle.
 """
 
 import disclab as dl
