@@ -1,8 +1,7 @@
 """Command-line front door.
 
 Subcommands: gen, disc, invert, fourier, verify, experiment. Global flags
---seed, --threads and --out are accepted by every subcommand; --threads
-has no effect (it is only echoed in the `experiment theorem` config).
+--seed and --out are accepted by every subcommand.
 Exit codes: 0 success, 1 check failure or runtime error (RuntimeError,
 MemoryError), 2 usage error.
 """
@@ -23,7 +22,7 @@ from . import inversion as iv
 from . import smoothing as sm
 from . import solvers as sv
 from .setsystem import IncidenceMatrix, sample_bernoulli
-from .suites import SUITE_NAMES
+from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -32,10 +31,6 @@ EXIT_USAGE = 2
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42, help="root RNG seed (default 42)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility and has no effect: trials "
-                          "run one after another; `experiment theorem` echoes it "
-                          "in its config (default 1)")
     sub.add_argument("--out", type=str, default=None, help="output file (default stdout)")
 
 
@@ -187,7 +182,7 @@ def _cmd_fourier(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = hz.run_suite(args.suite, seed=args.seed)
+    report = run_suite(args.suite, seed=args.seed)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
@@ -197,7 +192,7 @@ def _cmd_experiment_theorem(args) -> int:
     cfg = hz.ExperimentConfig(
         m_list=m_list, C=args.C, p=args.p, trials=args.trials,
         solver=args.solver, budget=args.budget, restarts=args.restarts,
-        target=args.target, seed=args.seed, threads=args.threads)
+        target=args.target, seed=args.seed)
     report = hz.run_theorem_experiment(cfg)
     if args.csv:
         report.write_csv(args.csv)

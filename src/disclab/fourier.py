@@ -626,9 +626,10 @@ def dhat_log_abs_batch(A: IncidenceMatrix, thetas, combine: Optional[Combine] = 
 
 
 BRUTEFORCE_MAX_N = 24
+BRUTEFORCE_CHUNK = 1 << 16  # colorings per block of the brute-force sum
 
 
-def dhat_bruteforce(A: IncidenceMatrix, theta, chunk: int = 1 << 16) -> float:
+def dhat_bruteforce(A: IncidenceMatrix, theta) -> float:
     """Average of cos(2 pi <A x, theta>) over all 2^n colorings.
 
     Independent oracle for dhat: enumerates colorings instead of using the
@@ -644,8 +645,8 @@ def dhat_bruteforce(A: IncidenceMatrix, theta, chunk: int = 1 << 16) -> float:
     bit_cols = np.arange(A.n - 1, dtype=np.int64)
     real_sum = 0.0
     imag_sum = 0.0
-    for start in range(0, half, chunk):
-        idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
+    for start in range(0, half, BRUTEFORCE_CHUNK):
+        idx = np.arange(start, min(start + BRUTEFORCE_CHUNK, half), dtype=np.int64)
         rest = (((idx[:, None] >> bit_cols) & 1) * 2 - 1).astype(np.float64)
         phases = TWO_PI * (w[0] + rest @ w[1:])
         real_sum += 2.0 * np.cos(phases).sum()

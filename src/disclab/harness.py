@@ -1,5 +1,5 @@
 """Experiment orchestration: the high-probability coloring regime at desk
-scale, the tiny-instance counting probe, and the suite runner.
+scale and the tiny-instance counting probe.
 
 Every output embeds the full configuration and root seed; per-trial work
 is keyed by (seed, m, trial) streams so reruns reproduce byte-identical
@@ -21,7 +21,6 @@ import numpy as np
 from . import solvers as sv
 from .rng import child_seed
 from .setsystem import max_column_frequency, sample_bernoulli
-from .suites import SuiteReport, run_suite  # noqa: F401  (re-exported)
 
 __all__ = [
     "ExperimentConfig",
@@ -52,7 +51,8 @@ class ExperimentConfig:
     n is always derived from (C, m); budget means random-walk trials for
     the random solver and per-restart flips for the local solver. threads
     is recorded in the configuration and has no effect: trials run one
-    after another, since a thread pool over them gained nothing reliable.
+    after another, since a thread pool over them gained nothing reliable,
+    and no command-line flag sets it.
     """
 
     m_list: Sequence[int]
@@ -69,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.m_list:
             raise ValueError("m_list must not be empty")
+        if not (0.0 < self.C < math.inf):
+            raise ValueError(f"C must be positive and finite, not {self.C}")
         if self.solver not in ("random", "local"):
             raise ValueError("solver must be 'random' or 'local'")
         if not (0.0 <= self.p <= 1.0):
@@ -209,6 +211,7 @@ def run_lowerbound_probe(
         raise ValueError(f"probe requires n <= {LOWERBOUND_MAX_N}, got {n}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    bound = sv.counting_bound(m, n, delta, kappa)
     histogram: Dict[int, int] = {}
     good_counts: List[int] = []
     for trial in range(trials):
@@ -216,7 +219,6 @@ def run_lowerbound_probe(
         best, _ = sv.exhaustive_min_disc(A)
         histogram[best] = histogram.get(best, 0) + 1
         good_counts.append(sv.count_colorings_within(A, delta))
-    bound = sv.counting_bound(m, n, delta, kappa)
     at_most = sum(c for d, c in histogram.items() if d <= delta)
     mean_good = float(np.mean(good_counts)) if good_counts else None
     return {

@@ -39,7 +39,7 @@ __all__ = [
 # Violations smaller than this are float noise, not counterexamples.
 BOUND_TOL = 1e-12
 
-# Default grid step for the 1-d maximization in rho().
+# Grid step of the 1-d maximization in rho().
 RHO_GRID_STEP = 1e-4
 
 
@@ -178,14 +178,14 @@ def _parity_rhat_of_cos(smoother: ParitySmoother, cos_t: np.ndarray) -> np.ndarr
     return _row_product(cos_t[..., list(smoother.odd_rows)])
 
 
-def rho(delta: int, grid_step: float = RHO_GRID_STEP) -> float:
+def rho(delta: int) -> float:
     """max |rhat_1d| over [1/4, 1/2], by dense grid plus both endpoints.
 
     The base 1/2 + cos(2 pi theta)/2 decreases on [0, 1/2], so the max
     sits at theta = 1/4 and equals 2**-delta; the grid is a safety net,
     not the source of truth.
     """
-    grid = np.arange(0.25, 0.5, grid_step)
+    grid = np.arange(0.25, 0.5, RHO_GRID_STEP)
     grid = np.concatenate([grid, [0.25, 0.5]])
     return float(np.abs(rhat_1d(delta, grid)).max())
 

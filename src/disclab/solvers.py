@@ -65,28 +65,24 @@ def _gray_code(i):
     return i ^ (i >> 1)
 
 
-def _coloring_from_gray_index(A: IncidenceMatrix, index: int, fix_first: bool) -> Coloring:
-    code = _gray_code(index)
-    offset = 1 if fix_first else 0
-    signs = np.ones(A.n, dtype=np.int8)
-    for b in range(A.n - offset):
-        if (code >> b) & 1:
-            signs[b + offset] = -1
-    return Coloring(signs)
+def _coloring_from_gray_index(A: IncidenceMatrix, index: int) -> Coloring:
+    """The coloring at a Gray index: first sign +1, bit b of the code flips column b + 1."""
+    bits = (_gray_code(index) >> np.arange(A.n - 1)) & 1
+    return Coloring(np.concatenate(([1], 1 - 2 * bits)))
 
 
-def _gray_disc_chunks(A: IncidenceMatrix, fix_first: bool = True) -> Iterator[Tuple[int, np.ndarray]]:
+def _gray_disc_chunks(A: IncidenceMatrix) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (start_index, disc) over Gray-ordered colorings.
 
     disc[k] is max_i |(A x)_i| at Gray index start_index + k. Index 0 is
-    the all +1 coloring; when fix_first is set the first sign stays +1 and
-    only 2^(n-1) sign classes are visited. With L low free columns, index
+    the all +1 coloring; the first sign stays +1, so only the 2^(n-1)
+    sign classes are visited. With L low free columns, index
     h 2^L + l has the reflected code gray(h) 2^L + gray(l) for even h and
     gray(h) 2^L + gray(2^L - 1 - l) for odd h. So each block h is the
     table of low sums, read backwards when h is odd, plus the sum of the
     high columns, which changes in one column from block to block.
     """
-    free = A.bits.T[1 if fix_first else 0:].astype(np.int8)  # |A x| <= n <= 30 fits int8
+    free = A.bits.T[1:].astype(np.int8)  # |A x| <= n <= 30 fits int8
     low = min(len(free), _GRAY_LOW_BITS)
     table = A.row_sums.astype(np.int8)[:, None]  # (m, 2^b) in Gray order after b steps
     for b in range(low):
@@ -121,14 +117,14 @@ def exhaustive_min_disc(A: IncidenceMatrix) -> Tuple[int, Coloring]:
     floor = _parity_floor(A)
     best = None
     best_index = 0
-    for start, disc in _gray_disc_chunks(A, fix_first=True):
+    for start, disc in _gray_disc_chunks(A):
         k = int(np.argmin(disc))
         if best is None or int(disc[k]) < best:
             best = int(disc[k])
             best_index = start + k
             if best == floor:
                 break
-    witness = _coloring_from_gray_index(A, best_index, fix_first=True)
+    witness = _coloring_from_gray_index(A, best_index)
     if disc_of_coloring(A, witness) != best:
         raise RuntimeError("internal error: witness fails independent verification")
     return best, witness
@@ -139,7 +135,7 @@ def count_colorings_within(A: IncidenceMatrix, delta: int) -> int:
     if A.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"refusing exhaustive enumeration for n={A.n} > {EXHAUSTIVE_MAX_N}")
     half_count = 0
-    for _, disc in _gray_disc_chunks(A, fix_first=True):
+    for _, disc in _gray_disc_chunks(A):
         half_count += int(np.count_nonzero(disc <= delta))
     return 2 * half_count  # x and -x have equal discrepancy
 
@@ -332,8 +328,10 @@ def local_search(
 def counting_bound(m: int, n: int, delta: int, kappa: float) -> float:
     """Upper bound 2^n (kappa delta / sqrt n)^m on the expected number of
     colorings with discrepancy <= delta, computed in log space."""
-    if m < 1 or n < 1 or delta < 0 or kappa < 0:
+    if m < 1 or n < 1 or delta < 0:
         raise ValueError("invalid counting-bound parameters")
+    if not (0.0 <= kappa < math.inf):
+        raise ValueError(f"kappa must be finite and nonnegative, not {kappa}")
     if delta == 0 or kappa == 0.0:
         return 0.0
     log_value = n * math.log(2.0) + m * (math.log(kappa * delta) - 0.5 * math.log(n))

@@ -1,10 +1,9 @@
 """Named verification suites behind the `verify` command.
 
-Each suite runs a battery of inequality and consistency checks at
-documented default sizes and returns a SuiteReport whose failures always
-carry a reproducible witness (seed plus parameters). Default sizes are
-the ones the acceptance gate runs; pass smaller overrides for quick
-scans.
+Each suite runs a battery of inequality and consistency checks at fixed
+sizes and returns a SuiteReport whose failures always carry a
+reproducible witness (seed plus parameters). Only the seed varies: the
+acceptance gate reads the seed-42 reports, sizes included.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -83,12 +82,28 @@ class SuiteReport:
         }
 
 
+class _Worst:
+    """The smallest value added so far, with the witness of its first occurrence."""
+
+    def __init__(self):
+        self.value = math.inf
+        self.witness = None
+
+    def add(self, value, witness=None) -> None:
+        if value < self.value:
+            self.value, self.witness = value, witness
+
+
+def _floats(values) -> List[float]:
+    return [float(v) for v in values]
+
+
 def _grid_result(name: str, margins: np.ndarray, points, witness_extra: dict,
                  tol: float = sm.BOUND_TOL, detail: Optional[dict] = None) -> CheckResult:
     """Summarize a zero-violations-over-grid check from pointwise margins."""
     worst = int(np.argmin(margins))
     margin = float(margins[worst])
-    worst_point = [float(v) for v in np.atleast_1d(points[worst])]
+    worst_point = _floats(np.atleast_1d(points[worst]))
     witness = dict(witness_extra)
     witness["worst_point"] = worst_point
     det = {"checks": int(len(margins)), "worst_point": worst_point}
@@ -103,19 +118,11 @@ def _grid_result(name: str, margins: np.ndarray, points, witness_extra: dict,
 # ---------------------------------------------------------------------------
 
 
-def suite_smoothing(
-    seed: int = 42,
-    deltas: Sequence[int] = range(1, 9),
-    grid_step: float = 1e-3,
-    md_dims: Sequence[int] = range(2, 7),
-    md_points: int = 200,
-    sample_draws: int = 10 ** 6,
-    rho_deltas: Sequence[int] = range(1, 13),
-) -> SuiteReport:
+def suite_smoothing(seed: int = 42) -> SuiteReport:
     """Exact-law checks, transform-vs-law consistency, the three decay
     bounds on dense 1-d grids and sampled multi-d points, and rho."""
-    t0 = time.time()
     rep = SuiteReport("smoothing", seed)
+    deltas = range(1, 9)
 
     # Exact law: convolution table equals the shifted-binomial closed form,
     # total mass one, symmetry, variance delta/2.
@@ -157,14 +164,15 @@ def suite_smoothing(
             witness={"delta": delta}))
 
     # 1-d decay bounds on dense grids over each bound's stated domain.
+    step = 1e-3
     for delta in deltas:
-        th = np.arange(-0.5, 0.5 + grid_step / 2, grid_step)
+        th = np.arange(-0.5, 0.5 + step / 2, step)
         upper = np.exp(-np.pi ** 2 * delta * th ** 2) - sm.rhat_1d(delta, th)
         rep.checks.append(_grid_result(
             f"upper_bound_1d_delta{delta}", upper, th, {"delta": delta},
             detail={"bound": "exp(-pi^2 delta theta^2)", "domain": "|theta| <= 1/2"}))
 
-        th = np.arange(-0.25, 0.25 + grid_step / 2, grid_step)
+        th = np.arange(-0.25, 0.25 + step / 2, step)
         lower = sm.rhat_1d(delta, th) - np.exp(
             -np.pi ** 2 * delta * th ** 2 - 20.0 * delta * th ** 4)
         rep.checks.append(_grid_result(
@@ -172,7 +180,7 @@ def suite_smoothing(
             detail={"bound": "exp(-pi^2 delta theta^2 - 20 delta theta^4)",
                     "domain": "|theta| <= 1/4"}))
 
-        th = np.arange(-0.125, 0.125 + grid_step / 2, grid_step)
+        th = np.arange(-0.125, 0.125 + step / 2, step)
         ratio = sm.rhat_1d(delta, th) * (32.0 * th ** 2) ** delta - sm.rhat_1d(delta, th + 0.5)
         rep.checks.append(_grid_result(
             f"shift_ratio_1d_delta{delta}", ratio, th, {"delta": delta},
@@ -181,34 +189,29 @@ def suite_smoothing(
     # Multi-d bounds at axis points plus random points of each bound's own
     # domain box (1/2, 1/4 and 1/8); check_rhat_bounds gates each bound to
     # the points inside its stated domain.
-    for m in md_dims:
+    for m in range(2, 7):
         rng = stream(seed, 10, m)
         for delta in deltas:
-            pts = np.vstack([
-                _domain_points(m, box, max(md_points // 3, 20), rng)
-                for box in (0.5, 0.25, 0.125)
-            ])
-            worst: Dict[str, float] = {"upper": np.inf, "lower": np.inf, "ratio": np.inf}
-            worst_pt = {k: None for k in worst}
+            pts = np.vstack([_domain_points(m, box, 66, rng) for box in (0.5, 0.25, 0.125)])
+            worst = {key: _Worst() for key in ("upper", "lower", "ratio")}
             for row in pts:
-                r = sm.check_rhat_bounds(delta, row)
-                for key in worst:
-                    val = r.margins[key]
-                    if val is not None and val < worst[key]:
-                        worst[key] = val
-                        worst_pt[key] = [float(v) for v in row]
-            for key in worst:
+                margins = sm.check_rhat_bounds(delta, row).margins
+                for key, w in worst.items():
+                    if margins[key] is not None:
+                        w.add(margins[key], row)
+            for key, w in worst.items():
+                point = _floats(w.witness)
                 rep.checks.append(CheckResult(
                     f"{key}_bound_m{m}_delta{delta}",
-                    passed=bool(worst[key] >= -sm.BOUND_TOL),
-                    margin=float(worst[key]),
-                    witness={"m": m, "delta": delta, "worst_point": worst_pt[key]},
+                    passed=bool(w.value >= -sm.BOUND_TOL),
+                    margin=float(w.value),
+                    witness={"m": m, "delta": delta, "worst_point": point},
                     detail={"bound": key, "domain": "multi-d sampled",
-                            "checks": len(pts), "worst_point": worst_pt[key]}))
+                            "checks": len(pts), "worst_point": point}))
 
     # rho equals 2^-delta and decays at least like exp(-0.69 delta).
     rates = []
-    for delta in rho_deltas:
+    for delta in range(1, 13):
         val = sm.rho(delta)
         gap = abs(val - 2.0 ** (-delta))
         rates.append(-math.log(val) / delta)
@@ -224,25 +227,22 @@ def suite_smoothing(
                 "note": "observed decay constant, about ln 2; not asserted"}))
 
     # Sampling agrees with the law within 5 standard errors.
+    draws = 10 ** 6
     for delta in (0, 1, 2):
         spec = sm.build_pmf(delta)
-        draws = sm.sample(spec, stream(seed, 20, delta), size=sample_draws)
-        worst_margin = np.inf
-        worst_k = None
+        values = sm.sample(spec, stream(seed, 20, delta), size=draws)
+        worst = _Worst()
         for k in range(-delta, delta + 1):
             p = float(spec.pmf(k))
-            freq = float(np.mean(draws == k))
-            se = math.sqrt(p * (1 - p) / sample_draws) if 0 < p < 1 else 0.0
-            margin = 5.0 * se - abs(freq - p)
-            if margin < worst_margin:
-                worst_margin, worst_k = margin, k
+            freq = float(np.mean(values == k))
+            se = math.sqrt(p * (1 - p) / draws) if 0 < p < 1 else 0.0
+            worst.add(5.0 * se - abs(freq - p), k)
         rep.checks.append(CheckResult(
             f"sampling_matches_pmf_delta{delta}",
-            passed=bool(worst_margin >= 0.0),
-            margin=float(worst_margin),
-            witness={"delta": delta, "value": worst_k, "draws": sample_draws}))
+            passed=bool(worst.value >= 0.0),
+            margin=float(worst.value),
+            witness={"delta": delta, "value": worst.witness, "draws": draws}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -266,38 +266,27 @@ def _domain_points(m: int, radius_inf: float, count: int,
 # ---------------------------------------------------------------------------
 
 
-def suite_fourier(
-    seed: int = 42,
-    oracle_pairs: int = 100,
-    quad_instances: int = 1000,
-    quad_m: int = 6,
-    quad_n: int = 400,
-    quad_p: float = 0.5,
-) -> SuiteReport:
+def suite_fourier(seed: int = 42) -> SuiteReport:
     """Product formula against the 2^n oracle, transform symmetries, the
     partial-product monotonicity, and the quadratic approximation of
     log dhat with both the calibrated and the analytic constant."""
-    t0 = time.time()
     rep = SuiteReport("fourier", seed)
     rng = stream(seed, 0)
 
     # Product formula vs coloring enumeration.
-    worst = -np.inf
-    worst_case = None
-    for k in range(oracle_pairs):
+    worst = _Worst()
+    for k in range(100):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 17))
         inst_seed = int(rng.integers(2 ** 62))
         A = sample_bernoulli(m, n, 0.5, inst_seed)
         th = rng.uniform(-0.5, 0.5, size=m)
-        gap = abs(fr.dhat(A, th) - fr.dhat_bruteforce(A, th))
-        if gap > worst:
-            worst, worst_case = gap, {"m": m, "n": n, "seed": inst_seed,
-                                      "theta": [float(v) for v in th]}
+        worst.add(1e-10 - abs(fr.dhat(A, th) - fr.dhat_bruteforce(A, th)),
+                  {"m": m, "n": n, "seed": inst_seed, "theta": _floats(th)})
     rep.checks.append(CheckResult(
-        "product_vs_bruteforce", passed=bool(worst <= 1e-10),
-        margin=float(1e-10 - worst), witness=worst_case,
-        detail={"pairs": oracle_pairs, "tolerance": 1e-10}))
+        "product_vs_bruteforce", passed=bool(worst.value >= 0.0),
+        margin=float(worst.value), witness=worst.witness,
+        detail={"pairs": 100, "tolerance": 1e-10}))
 
     # |dhat| <= 1, evenness, 1-periodicity, half-integral periodicity of |dhat|.
     dev_bound = 0.0
@@ -335,27 +324,27 @@ def suite_fourier(
     worst_ratio = 0.0
     failures = 0
     skipped = 0
-    for k in range(quad_instances):
-        A = sample_bernoulli(quad_m, quad_n, quad_p, int(rng.integers(2 ** 62)))
+    for k in range(1000):
+        A = sample_bernoulli(6, 400, 0.5, int(rng.integers(2 ** 62)))
         if fr.max_column_frequency(A) > 4 * A.t:
             skipped += 1
             continue
         rmax = 1.0 / (16.0 * math.sqrt(A.t))
-        g = rng.standard_normal(quad_m)
+        g = rng.standard_normal(6)
         th = g / np.linalg.norm(g) * rmax * rng.uniform() ** 0.5
         r = fr.check_quadratic_approx(A, th, K=fr.QUAD_K_DEFAULT)
         if r.ok is None:
             skipped += 1
             continue
         failures += not r.ok
-        denom = quad_n * A.t ** 2 * float(th @ th) ** 2
+        denom = 400 * A.t ** 2 * float(th @ th) ** 2
         worst_ratio = max(worst_ratio, abs(r.log_dhat + r.quad_form) / denom)
     rep.checks.append(CheckResult(
         "quadratic_approx_suite",
         passed=bool(failures == 0 and worst_ratio <= analytic_K),
         margin=float(fr.QUAD_K_DEFAULT - worst_ratio),
-        witness={"m": quad_m, "n": quad_n, "p": quad_p},
-        detail={"instances": quad_instances, "skipped_preconditions": skipped,
+        witness={"m": 6, "n": 400, "p": 0.5},
+        detail={"instances": 1000, "skipped_preconditions": skipped,
                 "worst_ratio": worst_ratio,
                 "calibrated_K": fr.QUAD_K_DEFAULT, "analytic_K": analytic_K}))
 
@@ -380,25 +369,21 @@ def suite_fourier(
             np.fill_diagonal(expected, n * p)
             top = float(np.linalg.eigvalsh(expected).max())
             worst_exp = min(worst_exp, 0.5 * n * m - top)
-    worst_gap = np.inf
-    worst_case = None
+    worst = _Worst()
     for k in range(200):
         m = int(rng.integers(2, 7))
         n = int(rng.integers(8 * m * m, 300 + 8 * m * m))
         inst_seed = int(rng.integers(2 ** 62))
         A = sample_bernoulli(m, n, float(rng.uniform(0.0, 0.5)), inst_seed)
         top = float(np.linalg.eigvalsh(covariance_empirical(A)).max())
-        gap = 0.5 * n * m - top
-        if gap < worst_gap:
-            worst_gap, worst_case = gap, {"m": m, "n": n, "seed": inst_seed}
+        worst.add(0.5 * n * m - top, {"m": m, "n": n, "seed": inst_seed})
     rep.checks.append(CheckResult(
         "covariance_quadratic_sandwich",
-        passed=bool(worst_exp >= -1e-9 and worst_gap >= 0.0),
-        margin=float(min(worst_exp, worst_gap)), witness=worst_case,
+        passed=bool(worst_exp >= -1e-9 and worst.value >= 0.0),
+        margin=float(min(worst_exp, worst.value)), witness=worst.witness,
         detail={"expected_form_margin": worst_exp,
-                "realized_cases": 200, "realized_margin": worst_gap}))
+                "realized_cases": 200, "realized_margin": worst.value}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -407,27 +392,17 @@ def suite_fourier(
 # ---------------------------------------------------------------------------
 
 
-def suite_spike(
-    seed: int = 42,
-    dims: Sequence[int] = range(1, 9),
-    points_per_dim: int = 1000,
-    xhat_instances: int = 100,
-    xhat_m: int = 6,
-    xhat_n: int = 200,
-    xhat_points: int = 12,
-) -> SuiteReport:
+def suite_spike(seed: int = 42) -> SuiteReport:
     """Dominance of the central transform spike over all 3^m - 1 shifted
     spikes, for the smoother alone on dense point sets and for full xhat
     on sampled instances; every shift sum is an exact enumeration."""
-    t0 = time.time()
     rep = SuiteReport("spike", seed)
 
-    for m in dims:
+    for m in range(1, 9):
         rng = stream(seed, m)
-        pts = _ball_points(m, fr.SPIKE_RADIUS, points_per_dim, rng)
+        pts = _ball_points(m, fr.SPIKE_RADIUS, 1000, rng)
         shifts = sm.half_lattice_points(m)
-        worst = np.inf
-        worst_pt = None
+        worst = _Worst()
         enum_vs_closed = 0.0
         chunk = max(1, 200000 // max(1, shifts.shape[0]))
         for lo in range(0, pts.shape[0], chunk):
@@ -443,39 +418,32 @@ def suite_spike(
             enum_vs_closed = max(enum_vs_closed, float(np.abs(tail - closed).max()))
             margins = center - 2.0 * tail
             k = int(np.argmin(margins))
-            if margins[k] < worst:
-                worst = float(margins[k])
-                worst_pt = [float(v) for v in block[k]]
+            worst.add(float(margins[k]), block[k])
         rep.checks.append(CheckResult(
             f"smoother_spike_dominance_m{m}",
-            passed=bool(worst > 0.0 and enum_vs_closed <= 1e-12),
-            margin=worst,
-            witness={"m": m, "worst_point": worst_pt},
+            passed=bool(worst.value > 0.0 and enum_vs_closed <= 1e-12),
+            margin=worst.value,
+            witness={"m": m, "worst_point": _floats(worst.witness)},
             detail={"points": int(pts.shape[0]), "shifts": int(shifts.shape[0]),
                     "enumeration_vs_closed_form": enum_vs_closed}))
 
     # Full xhat version on sampled instances.
     rng = stream(seed, 99)
     s1 = sm.build_pmf(1)
-    worst = np.inf
-    worst_case = None
+    worst = _Worst()
     max_dev = 0.0
-    for k in range(xhat_instances):
+    for k in range(100):
         inst_seed = int(rng.integers(2 ** 62))
-        A = sample_bernoulli(xhat_m, xhat_n, 0.5, inst_seed)
-        pts = _ball_points(xhat_m, fr.SPIKE_RADIUS, xhat_points, rng, axis_points=False)
+        A = sample_bernoulli(6, 200, 0.5, inst_seed)
+        pts = _ball_points(6, fr.SPIKE_RADIUS, 12, rng, axis_points=False)
         for row in pts:
             r = fr.spike_dominance_x(A, s1, row)
             max_dev = max(max_dev, r.periodicity_dev)
-            margin = r.lhs - r.rhs
-            if margin < worst:
-                worst = margin
-                worst_case = {"seed": inst_seed, "theta": [float(v) for v in row]}
+            worst.add(r.lhs - r.rhs, {"seed": inst_seed, "theta": _floats(row)})
     rep.checks.append(CheckResult(
-        "xhat_spike_dominance", passed=bool(worst > 0.0 and max_dev <= 1e-10),
-        margin=float(worst), witness=worst_case,
-        detail={"instances": xhat_instances, "m": xhat_m, "n": xhat_n,
-                "points_per_instance": xhat_points,
+        "xhat_spike_dominance", passed=bool(worst.value > 0.0 and max_dev <= 1e-10),
+        margin=float(worst.value), witness=worst.witness,
+        detail={"instances": 100, "m": 6, "n": 200, "points_per_instance": 12,
                 "worst_periodicity_dev": max_dev}))
 
     # Largest ladder radius at which smoother dominance still held (report only).
@@ -495,7 +463,6 @@ def suite_spike(
         detail={"largest_clean_ladder_radius_m4": held,
                 "configured_radius": fr.SPIKE_RADIUS}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -515,88 +482,68 @@ def _ball_points(m: int, radius: float, count: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def suite_decay(
-    seed: int = 42,
-    cases_per_bound: int = 1000,
-    max_m: int = 14,
-    far_group_seeds: int = 7,
-    far_ns: Sequence[int] = (500, 1000, 2000),
-    far_m: int = 4,
-    far_p: float = 0.5,
-    far_samples: int = 30000,
-) -> SuiteReport:
+def suite_decay(seed: int = 42) -> SuiteReport:
     """Exact one-column decay expectations against their three bounds, and
     the far-region integral against exp(-p delta^2 n / 24)."""
-    t0 = time.time()
     rep = SuiteReport("decay", seed)
     rng = stream(seed, 0)
+    cases = 1000
 
-    def random_theta(linf_cap: float, m: int) -> np.ndarray:
-        return rng.uniform(-linf_cap, linf_cap, size=m)
+    def draw():
+        m = int(rng.integers(1, 15))
+        p = float(rng.uniform(0.0, 0.5))
+        return m, p, rng.uniform(-0.25, 0.25, size=m)
 
     # Large-entry bound.
-    worst = np.inf
-    worst_case = None
-    for k in range(cases_per_bound):
-        m = int(rng.integers(1, max_m + 1))
-        p = float(rng.uniform(0.0, 0.5))
-        th = random_theta(0.25, m)
-        margin = fr.decay_bound_large_entry(th, p) - fr.one_factor_abs_cos_exact(th, p)
-        if margin < worst:
-            worst, worst_case = margin, {"m": m, "p": p, "theta": [float(v) for v in th]}
+    worst = _Worst()
+    for k in range(cases):
+        m, p, th = draw()
+        worst.add(fr.decay_bound_large_entry(th, p) - fr.one_factor_abs_cos_exact(th, p),
+                  {"m": m, "p": p, "theta": _floats(th)})
     rep.checks.append(CheckResult(
-        "one_factor_large_entry", passed=bool(worst >= -sm.BOUND_TOL),
-        margin=float(worst), witness=worst_case,
-        detail={"cases": cases_per_bound, "bound": "1 - (pi^2/4) p |theta|_inf^2"}))
+        "one_factor_large_entry", passed=bool(worst.value >= -sm.BOUND_TOL),
+        margin=float(worst.value), witness=worst.witness,
+        detail={"cases": cases, "bound": "1 - (pi^2/4) p |theta|_inf^2"}))
 
     # Recentred bound with an arbitrary phase shift, inside its domain.
-    worst = np.inf
-    worst_case = None
-    for k in range(cases_per_bound):
-        m = int(rng.integers(1, max_m + 1))
-        p = float(rng.uniform(0.0, 0.5))
-        th = random_theta(0.25, m)
+    worst = _Worst()
+    for k in range(cases):
+        m, p, th = draw()
         nsq = float(th @ th)
         if p * nsq > fr.CENTERED_DECAY_B and p > 0:
             th *= math.sqrt(fr.CENTERED_DECAY_B / (p * nsq))
         s = float(rng.uniform(-math.pi, math.pi))
-        margin = fr.decay_bound_centered(th, p) - fr.one_factor_centered_exact(th, p, s)
-        if margin < worst:
-            worst, worst_case = margin, {"m": m, "p": p, "s": s,
-                                         "theta": [float(v) for v in th]}
+        worst.add(fr.decay_bound_centered(th, p) - fr.one_factor_centered_exact(th, p, s),
+                  {"m": m, "p": p, "s": s, "theta": _floats(th)})
     rep.checks.append(CheckResult(
-        "one_factor_centered_shifted", passed=bool(worst >= -sm.BOUND_TOL),
-        margin=float(worst), witness=worst_case,
-        detail={"cases": cases_per_bound, "bound": "1 - p |theta|_2^2 / 2",
+        "one_factor_centered_shifted", passed=bool(worst.value >= -sm.BOUND_TOL),
+        margin=float(worst.value), witness=worst.witness,
+        detail={"cases": cases, "bound": "1 - p |theta|_2^2 / 2",
                 "domain_cap_b": fr.CENTERED_DECAY_B}))
 
     # Summary bound with the fixed small constant.
-    worst = np.inf
-    worst_case = None
-    for k in range(cases_per_bound):
-        m = int(rng.integers(1, max_m + 1))
-        p = float(rng.uniform(0.0, 0.5))
-        th = random_theta(0.25, m)
-        margin = fr.decay_bound_summary(th, p) - fr.one_factor_abs_cos_exact(th, p)
-        if margin < worst:
-            worst, worst_case = margin, {"m": m, "p": p, "theta": [float(v) for v in th]}
+    worst = _Worst()
+    for k in range(cases):
+        m, p, th = draw()
+        worst.add(fr.decay_bound_summary(th, p) - fr.one_factor_abs_cos_exact(th, p),
+                  {"m": m, "p": p, "theta": _floats(th)})
     rep.checks.append(CheckResult(
-        "one_factor_summary", passed=bool(worst >= -sm.BOUND_TOL),
-        margin=float(worst), witness=worst_case,
-        detail={"cases": cases_per_bound, "bound": "1 - min(p |theta|_2^2 / 4, c)",
+        "one_factor_summary", passed=bool(worst.value >= -sm.BOUND_TOL),
+        margin=float(worst.value), witness=worst.witness,
+        detail={"cases": cases, "bound": "1 - min(p |theta|_2^2 / 4, c)",
                 "c": fr.SUMMARY_DECAY_C}))
 
     # Far-region integral vs its exponential bound, plus the decay trend in n.
-    t_freq = far_p * far_m
-    delta = 1.0 / (16.0 * math.sqrt(t_freq))
+    far_m, far_p, far_ns = 4, 0.5, (500, 1000, 2000)
+    delta = 1.0 / (16.0 * math.sqrt(far_p * far_m))
     hold = 0
     total = 0
     log_means = {n: [] for n in far_ns}
-    for g in range(far_group_seeds):
+    for g in range(7):
         for n in far_ns:
             inst_seed = child_seed(seed, 7, g, n)
             A = sample_bernoulli(far_m, n, far_p, inst_seed)
-            r = fr.far_region_integral(A, delta, far_samples, child_seed(seed, 8, g, n))
+            r = fr.far_region_integral(A, delta, 30000, child_seed(seed, 8, g, n))
             total += 1
             hold += r.estimate.value + 3.0 * r.estimate.stderr <= r.bound
             log_means[n].append(r.log_mean)
@@ -612,7 +559,6 @@ def suite_decay(
                 "side_conditions": {"p_delta_sq": far_p * delta ** 2,
                                     "cap": fr.FAR_SIDE_C}}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -621,25 +567,18 @@ def suite_decay(
 # ---------------------------------------------------------------------------
 
 
-def suite_gaussian(
-    seed: int = 42,
-    dims: Sequence[int] = (2, 3),
-    scales: Sequence[float] = (1.0, 4.0),
-    samples: int = 200000,
-    tail_samples: int = 200000,
-) -> SuiteReport:
+def suite_gaussian(seed: int = 42) -> SuiteReport:
     """Ball integrals of the Gaussian transform against the density floor,
     and the Gaussian norm tail inequality."""
-    t0 = time.time()
     rep = SuiteReport("gaussian", seed)
 
-    for m in dims:
-        for r in scales:
+    for m in (2, 3):
+        for r in (1.0, 4.0):
             radius = math.sqrt(m / r) / math.pi
             est = fr.integrate_mc(
                 lambda pts: fr.gaussian_fhat(r * np.eye(m), pts),
                 fr.Region.origin_ball(m, radius),
-                samples, child_seed(seed, m, int(r)))
+                200000, child_seed(seed, m, int(r)))
             floor = 0.5 * (2.0 * math.pi * r) ** (-m / 2.0)
             margin = est.value - (floor - 3.0 * est.stderr)
             rep.checks.append(CheckResult(
@@ -648,6 +587,7 @@ def suite_gaussian(
                 witness={"m": m, "r": r, "radius": radius},
                 detail={"estimate": est.value, "stderr": est.stderr, "floor": floor}))
 
+    tail_samples = 200000
     for m in (2, 8):
         g = stream(seed, 30, m).standard_normal((tail_samples, m))
         norms = np.linalg.norm(g, axis=1)
@@ -666,7 +606,6 @@ def suite_gaussian(
         passed=bool(all(dens[i + 1] < dens[i] for i in range(len(dens) - 1))),
         detail={"values": dens}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -675,47 +614,38 @@ def suite_gaussian(
 # ---------------------------------------------------------------------------
 
 
-def suite_inversion(
-    seed: int = 42,
-    instances: int = 50,
-    samples: int = 10 ** 6,
-    cancellation_samples: int = 10 ** 5,
-    parity_instances: int = 20,
-) -> SuiteReport:
+def suite_inversion(seed: int = 42) -> SuiteReport:
     """Monte Carlo inversion against the exact-law oracle, the
     cancellation identity, the even-parity shortcut, and the exact law's
     own consistency properties."""
-    t0 = time.time()
     rep = SuiteReport("inversion", seed)
     rng = stream(seed, 0)
     s1 = sm.build_pmf(1)
+    tolerance = "max(3 stderr, 1e-3)"
 
     # Oracle equivalence at lambda = 0.
-    worst = np.inf
-    worst_case = None
-    for k in range(instances):
+    worst = _Worst()
+    for k in range(50):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(4, 13))
         p = float(rng.choice((0.3, 0.5)))
         inst_seed = int(rng.integers(2 ** 62))
         A = sample_bernoulli(m, n, p, inst_seed)
         exact = float(iv.prob_exact(A, s1, [0] * m))
-        est = iv.prob_fourier_mc(A, s1, [0] * m, samples, child_seed(seed, 1, k))
-        margin = max(3.0 * est.stderr, 1e-3) - abs(exact - est.value)
-        if margin < worst:
-            worst, worst_case = margin, {"m": m, "n": n, "p": p, "seed": inst_seed}
+        est = iv.prob_fourier_mc(A, s1, [0] * m, 10 ** 6, child_seed(seed, 1, k))
+        worst.add(max(3.0 * est.stderr, 1e-3) - abs(exact - est.value),
+                  {"m": m, "n": n, "p": p, "seed": inst_seed})
     rep.checks.append(CheckResult(
-        "oracle_equivalence", passed=bool(worst >= 0.0), margin=float(worst),
-        witness=worst_case,
-        detail={"instances": instances, "samples": samples,
-                "tolerance": "max(3 stderr, 1e-3)"}))
+        "oracle_equivalence", passed=bool(worst.value >= 0.0), margin=float(worst.value),
+        witness=worst.witness,
+        detail={"instances": 50, "samples": 10 ** 6, "tolerance": tolerance}))
 
     # Nonzero lambda example and an unreachable lambda.
     A = IncidenceMatrix([[1, 1]])
     exact2 = iv.prob_exact(A, s1, [2])
-    est2 = iv.prob_fourier_mc(A, s1, [2], samples // 4, child_seed(seed, 2))
+    est2 = iv.prob_fourier_mc(A, s1, [2], 250000, child_seed(seed, 2))
     gap2 = abs(float(exact2) - est2.value)
-    far_lam = iv.prob_fourier_mc(A, s1, [7], samples // 4, child_seed(seed, 3))
+    far_lam = iv.prob_fourier_mc(A, s1, [7], 250000, child_seed(seed, 3))
     rep.checks.append(CheckResult(
         "nonzero_and_unreachable_lambda",
         passed=bool(gap2 <= max(3 * est2.stderr, 1e-3)
@@ -729,20 +659,19 @@ def suite_inversion(
     ok = re0.value == 1.0 and re0.stderr == 0.0 and im0.value == 0.0
     worst_t = np.inf
     for idx, tvec in enumerate(([1], [2], [-3], [1, -1], [3, -2])):
-        re, im = iv.cancellation_check(tvec, cancellation_samples, child_seed(seed, 5, idx))
+        re, im = iv.cancellation_check(tvec, 10 ** 5, child_seed(seed, 5, idx))
         margin = min(3 * re.stderr - abs(re.value), 3 * im.stderr - abs(im.value))
         worst_t = min(worst_t, margin)
     rep.checks.append(CheckResult(
         "cancellation", passed=bool(ok and worst_t >= 0.0), margin=float(worst_t),
-        detail={"nonzero_vectors": 5, "samples": cancellation_samples}))
+        detail={"nonzero_vectors": 5, "samples": 10 ** 5}))
 
     # Even-parity shortcut vs the exact law under the parity smoother.
-    worst = np.inf
-    worst_case = None
+    worst = _Worst()
     specials = [IncidenceMatrix(np.ones((2, 4), dtype=int)),   # all rows even
                 IncidenceMatrix(np.ones((2, 3), dtype=int)),   # all rows odd
                 IncidenceMatrix(np.zeros((2, 3), dtype=int))]
-    for k in range(parity_instances):
+    for k in range(20):
         if k < len(specials):
             A = specials[k]
         else:
@@ -750,13 +679,13 @@ def suite_inversion(
                                  0.5, int(rng.integers(2 ** 62)))
         smoother = sm.ParitySmoother.from_matrix(A)
         exact = float(iv.prob_exact(A, smoother, [0] * A.m))
-        est = iv.prob_even_variant(A, samples // 4, child_seed(seed, 6, k))
-        margin = max(3.0 * est.stderr, 1e-3) - abs(exact - est.value)
-        if margin < worst:
-            worst, worst_case = margin, {"m": A.m, "n": A.n, "k": k}
+        est = iv.prob_even_variant(A, 250000, child_seed(seed, 6, k))
+        worst.add(max(3.0 * est.stderr, 1e-3) - abs(exact - est.value),
+                  {"m": A.m, "n": A.n, "k": k})
     rep.checks.append(CheckResult(
-        "even_parity_shortcut", passed=bool(worst >= 0.0), margin=float(worst),
-        witness=worst_case, detail={"instances": parity_instances}))
+        "even_parity_shortcut", passed=bool(worst.value >= 0.0), margin=float(worst.value),
+        witness=worst.witness,
+        detail={"instances": 20, "samples": 250000, "tolerance": tolerance}))
 
     # Exact law: total mass one, symmetry, and solver cross-consistency.
     ok_mass = True
@@ -781,15 +710,14 @@ def suite_inversion(
     A = sample_bernoulli(3, 10, 0.5, int(rng.integers(2 ** 62)))
     perm = stream(seed, 9).permutation(A.n)
     B = IncidenceMatrix(A.bits[:, perm])
-    ea = iv.prob_fourier_mc(A, s1, [0, 0, 0], samples // 10, child_seed(seed, 10))
-    eb = iv.prob_fourier_mc(B, s1, [0, 0, 0], samples // 10, child_seed(seed, 10))
+    ea = iv.prob_fourier_mc(A, s1, [0, 0, 0], 10 ** 5, child_seed(seed, 10))
+    eb = iv.prob_fourier_mc(B, s1, [0, 0, 0], 10 ** 5, child_seed(seed, 10))
     gap = abs(ea.value - eb.value)
     tol = 3.0 * math.hypot(ea.stderr, eb.stderr) + 1e-12
     rep.checks.append(CheckResult(
         "column_permutation_invariance", passed=bool(gap <= tol),
         margin=float(tol - gap), detail={"gap": gap}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -798,19 +726,13 @@ def suite_inversion(
 # ---------------------------------------------------------------------------
 
 
-def suite_assembly(
-    seed: int = 42,
-    m: int = 4,
-    p: float = 0.5,
-    ns: Sequence[int] = (800, 1200, 1600),
-    samples: int = 40000,
-) -> SuiteReport:
+def suite_assembly(seed: int = 42) -> SuiteReport:
     """Three-region split of the inversion integral on sampled instances:
     positive central mass, spike dominance, a negligible far region, and a
     growing central-to-far ratio as n grows."""
-    t0 = time.time()
     rep = SuiteReport("assembly", seed)
     s1 = sm.build_pmf(1)
+    m, p, ns, samples = 4, 0.5, (800, 1200, 1600), 40000
 
     ratios = []
     for n in ns:
@@ -864,7 +786,6 @@ def suite_assembly(
         margin=float(-at_centers.max()),
         detail={"max_abs_at_centers": float(at_centers.max())}))
 
-    rep.runtime_s = time.time() - t0
     return rep
 
 
@@ -882,8 +803,11 @@ SUITE_NAMES = {
 }
 
 
-def run_suite(name: str, seed: int = 42, **sizes) -> SuiteReport:
-    """Run one named suite; unknown names raise KeyError."""
+def run_suite(name: str, seed: int = 42) -> SuiteReport:
+    """Run one named suite and record its wall time; unknown names raise KeyError."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}")
-    return SUITE_NAMES[name](seed=seed, **sizes)
+    t0 = time.time()
+    rep = SUITE_NAMES[name](seed)
+    rep.runtime_s = time.time() - t0
+    return rep

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
-tolerances and sizes are pinned here, not configurable.
+tolerances and sizes are pinned here, not configurable. Criteria backed by
+a suite check read its seed-42 report and pin the sizes and tolerance the
+check reports.
 """
 
 import math
@@ -10,13 +12,10 @@ import time
 import numpy as np
 
 import disclab as dl
-from disclab import fourier as fr
 from disclab.harness import ExperimentConfig, run_theorem_experiment
-from disclab.rng import child_seed, stream
-from disclab.smoothing import ParitySmoother
+from disclab.rng import child_seed
 
 SEED = 42
-S1 = dl.build_pmf(1)
 
 
 def report(num, name, passed, extra=""):
@@ -27,12 +26,17 @@ def report(num, name, passed, extra=""):
     assert passed, line
 
 
+def suite_check(rep, name):
+    """The named check of a suite report and its detail."""
+    check = next(c for c in rep.checks if c.name == name)
+    return check, check.detail or {}
+
+
 def test_criterion_01_inversion_oracle_equivalence(seed42_suite):
     # The inversion suite's oracle check: 50 random instances at lambda = 0,
     # 10^6 samples each, against the exact law.
     rep = seed42_suite("inversion")
-    oracle = next(c for c in rep.checks if c.name == "oracle_equivalence")
-    detail = oracle.detail or {}
+    oracle, detail = suite_check(rep, "oracle_equivalence")
     report(1, "inversion oracle equivalence (50 instances, 1e6 samples)",
            oracle.passed and detail.get("instances") == 50
            and detail.get("samples") == 10 ** 6
@@ -41,20 +45,14 @@ def test_criterion_01_inversion_oracle_equivalence(seed42_suite):
            f"worst margin {oracle.margin:.2e}, suite {rep.runtime_s:.0f}s")
 
 
-def test_criterion_02_dhat_product_vs_bruteforce():
-    t0 = time.time()
-    rng = stream(SEED, 2)
-    worst = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 17))
-        A = dl.sample_bernoulli(m, n, 0.5, int(rng.integers(2 ** 62)))
-        th = rng.uniform(-0.5, 0.5, size=m)
-        worst = max(worst, abs(dl.dhat(A, th) - dl.dhat_bruteforce(A, th)))
-    elapsed = time.time() - t0
+def test_criterion_02_dhat_product_vs_bruteforce(seed42_suite):
+    # The fourier suite's oracle check: 100 random (instance, theta) pairs
+    # with n <= 16, the column product against the 2^n enumeration.
+    check, detail = suite_check(seed42_suite("fourier"), "product_vs_bruteforce")
     report(2, "transform product vs 2^n enumeration (100 pairs)",
-           worst <= 1e-10 and elapsed <= 60.0,
-           f"worst gap {worst:.2e}, {elapsed:.1f}s")
+           check.passed and check.margin >= 0.0
+           and detail.get("pairs") == 100 and detail.get("tolerance") == 1e-10,
+           f"worst gap {1e-10 - check.margin:.2e}")
 
 
 def test_criterion_03_smoothing_bound_suite(seed42_suite):
@@ -105,26 +103,29 @@ def test_criterion_07_gaussian_comparator(seed42_suite):
            f"worst margin {min(c.margin for c in ball):.2e}")
 
 
-def test_criterion_08_cancellation():
-    re0, im0 = dl.cancellation_check([0, 0], 10 ** 5, child_seed(SEED, 8, 0))
-    exact_ok = re0.value == 1.0 and re0.stderr == 0.0 and im0.value == 0.0
-    worst = math.inf
-    for idx, t in enumerate(([1], [2], [-3], [1, -1], [3, -2])):
-        re, im = dl.cancellation_check(t, 10 ** 5, child_seed(SEED, 8, idx + 1))
-        worst = min(worst, 3 * re.stderr - abs(re.value), 3 * im.stderr - abs(im.value))
+def test_criterion_08_cancellation(seed42_suite):
+    # The inversion suite's check: exact at t = 0, and the real and
+    # imaginary means within 3 stderr of 0 at five nonzero t, 10^5 samples each.
+    check, detail = suite_check(seed42_suite("inversion"), "cancellation")
     report(8, "cancellation identity (t=0 exact, five nonzero t within 3 stderr)",
-           exact_ok and worst >= 0.0, f"worst margin {worst:.2e}")
+           check.passed and check.margin >= 0.0
+           and detail.get("nonzero_vectors") == 5 and detail.get("samples") == 10 ** 5,
+           f"worst margin {check.margin:.2e}")
 
 
-def test_criterion_09_rho_decay():
-    worst = math.inf
-    rate_ok = True
-    for delta in range(1, 13):
-        val = dl.rho(delta)
-        worst = min(worst, 1e-9 - abs(val - 2.0 ** (-delta)))
-        rate_ok &= val <= math.exp(-0.69 * delta)
+def test_criterion_09_rho_decay(seed42_suite):
+    # The smoothing suite's rho checks, one per delta; each margin is
+    # 1e-9 minus the reported gap |rho - 2^-delta|.
+    rep = seed42_suite("smoothing")
+    checks = [c for c in rep.checks if c.name.startswith("rho_delta")]
+    ok = [c.name for c in checks] == [f"rho_delta{d}" for d in range(1, 13)]
+    for delta, check in enumerate(checks, start=1):
+        val = check.detail["rho"]
+        ok &= check.passed and check.margin == 1e-9 - abs(val - 2.0 ** (-delta))
+        ok &= check.margin >= 0.0 and val <= math.exp(-0.69 * delta)
+    worst = min(c.margin for c in checks)
     report(9, "rho equals 2^-delta within 1e-9 for delta=1..12, rate <= e^-0.69 delta",
-           worst >= 0.0 and rate_ok, f"worst gap margin {worst:.2e}")
+           ok, f"worst gap margin {worst:.2e}")
 
 
 def test_criterion_10_theorem_desk_scale():
@@ -163,19 +164,13 @@ def test_criterion_10_theorem_desk_scale():
            f"{successes}/100 successes in {elapsed:.0f}s, m=8 rates {rates}")
 
 
-def test_criterion_11_parity_variant_consistency():
-    rng = stream(SEED, 11)
-    specials = [dl.IncidenceMatrix(np.ones((2, 4), dtype=int)),
-                dl.IncidenceMatrix(np.ones((2, 3), dtype=int))]
-    worst = math.inf
-    for k in range(20):
-        if k < len(specials):
-            A = specials[k]
-        else:
-            A = dl.sample_bernoulli(int(rng.integers(1, 4)), int(rng.integers(2, 11)),
-                                    0.5, int(rng.integers(2 ** 62)))
-        exact = float(dl.prob_exact(A, ParitySmoother.from_matrix(A), [0] * A.m))
-        est = dl.prob_even_variant(A, 250000, child_seed(SEED, 11, k))
-        worst = min(worst, max(3 * est.stderr, 1e-3) - abs(exact - est.value))
+def test_criterion_11_parity_variant_consistency(seed42_suite):
+    # The inversion suite's check: the even-parity shortcut against the
+    # exact law under the parity smoother, all-even, all-odd and zero
+    # matrices first.
+    check, detail = suite_check(seed42_suite("inversion"), "even_parity_shortcut")
     report(11, "even-parity shortcut agrees with exact law (20 instances)",
-           worst >= 0.0, f"worst margin {worst:.2e}")
+           check.passed and check.margin >= 0.0
+           and detail.get("instances") == 20 and detail.get("samples") == 250000
+           and detail.get("tolerance") == "max(3 stderr, 1e-3)",
+           f"worst margin {check.margin:.2e}")

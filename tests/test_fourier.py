@@ -237,7 +237,7 @@ def test_prob_fourier_mc_independent_of_kernel_chunk(monkeypatch):
     s = dl.build_pmf(1)
     mats = _kernel_instances()
     base = [dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) for A in mats]
-    for chunk in (1, 50, 4099):
+    for chunk in (1, 1000, 4099):
         monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
         assert [dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) for A in mats] == base, chunk
@@ -247,7 +247,9 @@ def test_estimates_independent_of_thread_count(monkeypatch):
     # Both kernel instances, with a third of the points on the table one
     # (its per-call set-up is dearer at one row per slice); every batch is
     # split across the pool, over thread counts 1-3 crossed with three chunk
-    # bounds (on the table path also the bound on its blocks).
+    # bounds (on the table path also the bound on its blocks). At 54 and 147
+    # column types the bounds give one-row slices, slices of a few rows, and
+    # slices of tens of rows, so each bound slices differently.
     s = dl.build_pmf(1)
 
     def run(A, k):
@@ -264,13 +266,26 @@ def test_estimates_independent_of_thread_count(monkeypatch):
     runs = list(zip(_kernel_instances(), (3000, 1000)))
     base = [run(A, k) for A, k in runs]
     assert all(min(b[3]) < 0.0 < max(b[3]) for b in base)
+    split, sizes = fr._map_rows, set()
+
+    def recorded_split(fn, A, thetas):
+        def rows(part):
+            sizes.add(len(part))
+            return fn(part)
+        return split(rows, A, thetas)
+
+    monkeypatch.setattr(fr, "_map_rows", recorded_split)
     monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
     for workers in (1, 2, 3):
         monkeypatch.setattr(fr, "_worker_count", lambda: workers)
-        for chunk in (1, 50, 4099):
+        slicings = []
+        for chunk in (1, 1000, 4099):
             monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
             monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+            sizes.clear()
             assert [run(A, k) for A, k in runs] == base, (workers, chunk)
+            slicings.append(frozenset(sizes))
+        assert len(set(slicings)) == 3, (workers, slicings)
 
 
 def test_kernel_concurrent_callers_share_the_pool(monkeypatch):
@@ -671,7 +686,7 @@ def test_integrands_independent_of_pool_size_and_chunk(monkeypatch):
     monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
     for workers in (1, 2, 3):
         monkeypatch.setattr(fr, "_worker_count", lambda: workers)
-        for chunk in (1, 50, 4099):
+        for chunk in (1, 1000, 4099):
             monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
             assert run() == base, (workers, chunk)
 

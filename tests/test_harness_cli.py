@@ -393,13 +393,50 @@ def test_cli_negative_target_is_usage_error(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, message", [
+    (["experiment", "theorem", "--C", "inf"], "C must be positive and finite, not inf"),
+    (["experiment", "theorem", "--C", "nan"], "C must be positive and finite, not nan"),
+    (["experiment", "theorem", "--C", "-1"], "C must be positive and finite, not -1.0"),
+    (["experiment", "theorem", "--C", "0"], "C must be positive and finite, not 0.0"),
+    (["experiment", "lowerbound", "--kappa", "nan"], "kappa must be finite and nonnegative, not nan"),
+    (["experiment", "lowerbound", "--kappa", "inf"], "kappa must be finite and nonnegative, not inf"),
+    (["experiment", "lowerbound", "--kappa", "-1"], "kappa must be finite and nonnegative, not -1.0"),
+])
+def test_cli_bad_experiment_constant_is_usage_error(capsys, command, message):
+    if command[1] == "theorem":
+        command = command + ["--m-list", "3", "--trials", "1", "--budget", "10"]
+    else:
+        command = command + ["--m", "2", "--n", "4", "--trials", "1"]
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--m", "2", "--n", "4", "--p", "0.5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_harness_import_leaves_suites_unloaded():
+    code = "import sys, disclab.harness; print('disclab.suites' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_failed_witness_check_exits_1(tmp_path, capsys, monkeypatch):
     # a witness that does not reach the enumerated minimum is an internal
     # error, raised as RuntimeError also under python -O
     inst = tmp_path / "inst.json"
     IncidenceMatrix([[1, 1, 0], [0, 1, 1]]).save(inst)
     monkeypatch.setattr(dl.solvers, "_coloring_from_gray_index",
-                        lambda A, index, fix_first: dl.Coloring([1] * A.n))
+                        lambda A, index: dl.Coloring([1] * A.n))
     code = main(["disc", "--in", str(inst), "--solver", "exhaustive"])
     captured = capsys.readouterr()
     assert code == 1

@@ -1,5 +1,6 @@
 """The repository gate: every named suite runs clean at default sizes."""
 
+import inspect
 import json
 
 import pytest
@@ -15,6 +16,15 @@ def test_suite_green_on_default_seed(name, seed42_suite):
     # reports serialize cleanly and carry reproducible witnesses
     payload = json.dumps(rep.to_dict())
     assert name in payload
+
+
+def test_suites_take_only_a_seed():
+    # Fixed sizes: the seed-42 reports the acceptance gate reads are the
+    # ones every caller gets.
+    for fn in suites.SUITE_NAMES.values():
+        params = inspect.signature(fn).parameters
+        assert list(params) == ["seed"] and params["seed"].default == 42, fn.__name__
+    assert list(inspect.signature(suites.run_suite).parameters) == ["name", "seed"]
 
 
 def test_unknown_suite_name():
