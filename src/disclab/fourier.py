@@ -15,9 +15,10 @@ fewer than TABLE_MIN_TYPES column types (T) the kernel takes one cos per
 distinct nonzero angle, building each type's angle from its prefix's,
 and from there on the factors of a point come from cos and sin tables of
 the subset sums of each half of its coordinates, built by angle addition
-from 2m libm calls instead of T. TABLE_MIN_TYPES records the measured
-crossover; `_kernel` gives the accuracy of each path and why no row
-depends on the batch that holds it. All integrals here are
+from 2m libm calls instead of T, one cache-sized block of points at a
+time. TABLE_MIN_TYPES records the measured crossover; `_kernel` gives the
+accuracy of each path, its memory, and why no row depends on the batch
+that holds it. All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
 the one engine: a `Region` (cube, quarter cube or origin ball) draws
 points uniformly and gives its volume, and an integrand maps them to
@@ -120,10 +121,15 @@ TABLE_MIN_TYPES = 128
 # workload by 10 MB.
 LIBM_CHUNK = 1 << 18
 
-# Points x column types per block of the angle-addition path: its three
+# Points x column types per step of the angle-addition path: its three
 # (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. On that Xeon with two
-# threads, blocks of 2^15 were 10-25% slower (more Python per value) and
-# 2^17 no faster.
+# threads, steps of 2^15 were 10-25% slower (more Python per value) and
+# 2^17 no faster. The path's four half tables are built per block of whole
+# steps holding about 2 TABLE_CHUNK values, 1 MB, so they stay in that
+# cache too (about 970 points at m = 10, 2020 at m = 8). With tables over
+# a whole row-split slice (4 MB per thread at m = 8), xhat_batch on cube
+# points took 1.28 (m = 8) and 1.15 (m = 10) times as long on one thread,
+# and the peak RSS of the m in {8, 10} benchmark workload was 7 MB higher.
 TABLE_CHUNK = 1 << 16
 
 # Row-split batches of fewer points x column types than this (about a
@@ -243,25 +249,32 @@ class Region:
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k points drawn uniformly from the region."""
-        if self.kind is RegionKind.QUARTER_CUBE:
-            return (rng.random((k, self.m)) - 0.5) * 0.5
         if self.kind is RegionKind.ORIGIN_BALL:
             # Polar sampling: Gaussian direction, radius via u^(1/m). Exactly
             # uniform in the ball, no rejection, deterministic per stream.
             g = rng.standard_normal((k, self.m))
             norms = np.linalg.norm(g, axis=1, keepdims=True)
             norms[norms == 0.0] = 1.0
-            radii = self.radius * rng.random(k) ** (1.0 / self.m)
-            return g / norms * radii[:, None]
-        return rng.random((k, self.m)) - 0.5
+            radii = rng.random(k)
+            radii **= 1.0 / self.m
+            radii *= self.radius
+            g /= norms
+            g *= radii[:, None]
+            return g
+        pts = rng.random((k, self.m))
+        pts -= 0.5
+        if self.kind is RegionKind.QUARTER_CUBE:
+            pts *= 0.5
+        return pts
 
 
 def _lattice_distance_sq(pts: np.ndarray) -> np.ndarray:
     """Squared l2 distances of a (k, m) batch to the half-integral lattice,
     coordinatewise exact for points of the fundamental cube."""
-    a = np.abs(pts - np.round(pts))
-    best = np.minimum(a, 0.5 - a)
-    return np.einsum("ij,ij->i", best, best)
+    a = np.round(pts)
+    np.abs(np.subtract(pts, a, out=a), out=a)
+    np.minimum(a, np.subtract(0.5, a), out=a)
+    return np.einsum("ij,ij->i", a, a)
 
 
 def d2_to_lattice(theta) -> float:
@@ -272,20 +285,19 @@ def d2_to_lattice(theta) -> float:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
-def _half_table(cos_h: np.ndarray, sin_h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi times every subset sum of h coordinates, (2^h, k)
-    each, from their (h, k) cos and sin by angle addition; entry j is the
-    subset of the set bits of j."""
-    c = np.empty((1 << len(cos_h), cos_h.shape[1]))
-    s = np.empty_like(c)
+def _half_table(cos_h: np.ndarray, sin_h: np.ndarray, c: np.ndarray, s: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """cos and sin of 2 pi times every subset sum of h coordinates, written
+    into c and s, (2^h, k) each, from their (h, k) cos and sin by angle
+    addition; entry j is the subset of the set bits of j. scratch, at least
+    (2^(h-1), k), holds each level's products in turn."""
     c[0], s[0] = 1.0, 0.0
     for i, (ci, si) in enumerate(zip(cos_h, sin_h)):
-        old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+        old, new, tmp = slice(0, 1 << i), slice(1 << i, 2 << i), scratch[:1 << i]
         np.multiply(c[old], ci, out=c[new])
-        c[new] -= s[old] * si
+        c[new] -= np.multiply(s[old], si, out=tmp)
         np.multiply(s[old], ci, out=s[new])
-        s[new] += c[old] * si
-    return c, s
+        s[new] += np.multiply(c[old], si, out=tmp)
 
 
 def _runs(rows) -> Tuple[Tuple[int, int], ...]:
@@ -391,13 +403,17 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     So every value is, bit for bit, that of one cos per type and a row sum.
     From TABLE_MIN_TYPES on, the m coordinates are split into halves of
     h = m // 2 and m - h. For each half, cos and sin of 2 pi times all
-    subset sums are tabulated for the batch by angle addition from one cos
-    and one sin per coordinate, and each type's factor is
+    subset sums are tabulated by angle addition from one cos and one sin
+    per coordinate, and each type's factor is
     CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
-    2m libm calls per point instead of T. The four tables may hold at most
-    T values per point (else the libm path is taken), so memory stays
-    within the row split's bound; the per-type work runs in blocks of at
-    most TABLE_CHUNK points x types. This path rounds differently from one
+    2m libm calls per point instead of T. The coordinates' cos and sin are
+    taken once per batch; the tables are built per block of points, into
+    buffers reused from block to block, and the per-type work runs in steps
+    of at most TABLE_CHUNK points x types. A block is a whole number of
+    steps whose four tables, 2 (2^h + 2^(m-h)) values per point, hold about
+    2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
+    cache, and beyond the batch's O(m) values per point the working set
+    does not grow with the batch. This path rounds differently from one
     cos per factor: near the origin log|dhat| stays within rel 1e-12 of
     the column product; on the cube its worst error, relative to the
     conditioning sum_v counts[v] / |cos_v|, is within 4 times the libm
@@ -464,33 +480,45 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
     n_odd, weights = int(odd.sum()), weights[order]
     step = max(1, TABLE_CHUNK // types)
+    # Points per block of half tables: whole steps, and about 2 TABLE_CHUNK
+    # values for the four tables, 2 (2^h + 2^(m-h)) per point.
+    block = max(step, TABLE_CHUNK // ((1 << h) + (1 << (m - h))) // step * step)
 
     def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
         k = thetas.shape[0]
         ang = thetas.T * TWO_PI
-        cos_t, sin_t = np.cos(ang), np.sin(ang)
-        ca, sa = _half_table(cos_t[:h], sin_t[:h])
-        cb, sb = _half_table(cos_t[h:], sin_t[h:])
+        cos_t = np.cos(ang)
+        sin_t = np.sin(ang, out=ang)
         la = np.empty(k)
         sign = np.empty(k) if signed else None
         # Reused by every block: fresh arrays of this size cost page faults.
         flat = np.empty((3, types * min(k, step)))
+        width = min(k, block)
+        ca, sa = np.empty((2, 1 << h, width))
+        cb, sb = np.empty((2, 1 << (m - h), width))
+        scratch = np.empty((1 << (m - h - 1), width))
         for a in range(0, k, step):
-            part, points = slice(a, a + step), min(step, k - a)
+            part, points, b = slice(a, a + step), min(step, k - a), a % block
+            if not b:
+                tab, w = slice(a, a + block), min(block, k - a)
+                _half_table(cos_t[:h, tab], sin_t[:h, tab], ca[:, :w], sa[:, :w], scratch[:, :w])
+                _half_table(cos_t[h:, tab], sin_t[h:, tab], cb[:, :w], sb[:, :w], scratch[:, :w])
+            cols = slice(b, b + points)
             c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
             # c = CA[lo] CB[hi] - SA[lo] SB[hi]; mode="clip" spares take a
             # defensive copy of out (every index is in range).
-            np.take(ca[:, part], lo, axis=0, out=c, mode="clip")
-            c *= np.take(cb[:, part], hi, axis=0, out=tmp, mode="clip")
-            np.take(sa[:, part], lo, axis=0, out=s, mode="clip")
-            s *= np.take(sb[:, part], hi, axis=0, out=tmp, mode="clip")
+            np.take(ca[:, cols], lo, axis=0, out=c, mode="clip")
+            c *= np.take(cb[:, cols], hi, axis=0, out=tmp, mode="clip")
+            np.take(sa[:, cols], lo, axis=0, out=s, mode="clip")
+            s *= np.take(sb[:, cols], hi, axis=0, out=tmp, mode="clip")
             c -= s
             if signed:
-                sign[part] = 1.0 - 2.0 * (np.count_nonzero(c[:n_odd] < 0.0, axis=0) & 1)
+                sign[part] = np.where(np.logical_xor.reduce(c[:n_odd] < 0.0, axis=0), -1.0, 1.0)
+            logs = flat[1, :types * points].reshape(points, types)  # s's memory
             with np.errstate(divide="ignore"):
-                np.log(np.abs(c, out=c), out=c)
-            weighted = flat[1, :types * points].reshape(points, types)  # s's memory
-            la[part] = np.multiply(c.T, weights, out=weighted).sum(axis=1)
+                np.log(np.abs(c, out=c).T, out=logs)
+            logs *= weights
+            la[part] = logs.sum(axis=1)
         return la, sign, cos_t.T if coords else None
     return rows
 
@@ -1018,17 +1046,20 @@ def far_region_integral(
 
     def abs_integrand(pts: np.ndarray) -> np.ndarray:
         nonlocal lse_max, lse_sum
-        vals = np.zeros(len(pts))
         far = _lattice_distance_sq(pts) >= delta_sq
         if not far.any():
-            return vals
-        pts = pts[far]
-        la = dhat_log_abs_batch(A, pts, None if include_rhat_delta is None else add_log_rhat)
+            return np.zeros(len(pts))
+        everywhere = far.all()  # at m = 10, every block: no copy of its points
+        la = dhat_log_abs_batch(A, pts if everywhere else pts[far],
+                                None if include_rhat_delta is None else add_log_rhat)
         finite = la[la > -math.inf]
         if finite.size:
             fmax = max(lse_max, float(finite.max()))
             lse_sum = lse_sum * math.exp(lse_max - fmax) + float(np.exp(finite - fmax).sum())
             lse_max = fmax
+        if everywhere:
+            return _exp_clamped(la)
+        vals = np.zeros(len(pts))
         vals[far] = _exp_clamped(la)
         return vals
 

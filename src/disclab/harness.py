@@ -212,6 +212,10 @@ def run_lowerbound_probe(
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     bound = sv.counting_bound(m, n, delta, kappa)
+    # log2 of the bound, None when it is zero; the bound itself is reported
+    # only while finite, since JSON has no infinity.
+    log2_bound = (None if bound == 0.0 else
+                  n + m * (math.log2(kappa) + math.log2(delta) - 0.5 * math.log2(n)))
     histogram: Dict[int, int] = {}
     good_counts: List[int] = []
     for trial in range(trials):
@@ -227,6 +231,8 @@ def run_lowerbound_probe(
         "min_disc_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "prob_min_disc_at_most_delta": at_most / trials if trials else None,
         "mean_good_colorings": mean_good,
-        "counting_bound": bound,
-        "mean_within_bound": (None if mean_good is None else bool(mean_good <= bound)),
+        "counting_bound": bound if bound < math.inf else None,
+        "counting_bound_log2": log2_bound,
+        "mean_within_bound": (None if mean_good is None else mean_good == 0.0 or (
+            log2_bound is not None and math.log2(mean_good) <= log2_bound)),
     }

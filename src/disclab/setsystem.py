@@ -226,9 +226,13 @@ class IncidenceMatrix:
             raise ValueError("instance rows must be a list of hex strings")
         if len(rows) != m:
             raise ValueError(f"instance lists {len(rows)} rows, expected m={m}")
-        p = None if d.get("p") is None else float(d["p"])
-        if p is not None and not 0.0 <= p <= 1.0:
-            raise ValueError(f"instance p={p} lies outside [0, 1]")
+        p = d.get("p")
+        if p is not None:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValueError(f"instance field 'p' must be a number, not {json.dumps(p)}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"instance p={p} lies outside [0, 1]")
+            p = float(p)
         bits = np.vstack([_hex_to_row(h, n) for h in rows])
         meta = GenMeta(
             p=p,

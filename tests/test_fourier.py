@@ -756,6 +756,51 @@ def _einsum_rows(V, counts, signed, thetas):
     return c.sum(axis=1), sign
 
 
+def _table_rows(V, counts, thetas):
+    """The angle-addition path's row function before its per-block tables,
+    kept as the reference: each half's cos and sin tables over the whole
+    batch, a fresh temporary per level, the sign from a count of the odd
+    types' negative factors, and the weighted logs copied point-major.
+    Returns (la, sign, coordinate cosines)."""
+    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+    m, types = V.shape
+    h = m // 2
+    order = np.argsort(~odd, kind="stable")
+    bits = V[:, order].astype(np.int64)
+    lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
+    hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
+    n_odd, weights = int(odd.sum()), weights[order]
+
+    def half_table(cos_h, sin_h):
+        c = np.empty((1 << len(cos_h), cos_h.shape[1]))
+        s = np.empty_like(c)
+        c[0], s[0] = 1.0, 0.0
+        for i, (ci, si) in enumerate(zip(cos_h, sin_h)):
+            old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+            np.multiply(c[old], ci, out=c[new])
+            c[new] -= s[old] * si
+            np.multiply(s[old], ci, out=s[new])
+            s[new] += c[old] * si
+        return c, s
+
+    k = thetas.shape[0]
+    ang = thetas.T * fr.TWO_PI
+    cos_t, sin_t = np.cos(ang), np.sin(ang)
+    ca, sa = half_table(cos_t[:h], sin_t[:h])
+    cb, sb = half_table(cos_t[h:], sin_t[h:])
+    la, sign = np.empty(k), np.empty(k)
+    step = max(1, fr.TABLE_CHUNK // types)
+    for a in range(0, k, step):
+        part = slice(a, a + step)
+        c = ca[lo, part] * cb[hi, part] - sa[lo, part] * sb[hi, part]
+        sign[part] = 1.0 - 2.0 * (np.count_nonzero(c[:n_odd] < 0.0, axis=0) & 1)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(c, out=c), out=c)
+        weighted = np.empty(c.shape[::-1])
+        la[part] = np.multiply(c.T, weights, out=weighted).sum(axis=1)
+    return la, sign, cos_t.T
+
+
 def _reference_xhat(A, smoothing, pts):
     la, sign = _einsum_rows(*A.column_types, True, pts)
     if isinstance(smoothing, dl.ParitySmoother):
@@ -862,6 +907,95 @@ def test_table_kernel_hands_back_coordinate_cosines():
     assert _hex(fr._kernel(V, counts, True)(th, coords=True)[2]) == _hex(np.cos(fr.TWO_PI * th))
     s = dl.build_pmf(2)
     assert _hex(fr.xhat_batch(A, s, th)) == _hex(fr.dhat_batch(A, th) * dl.rhat_md(2, th))
+
+
+# -- the angle-addition path against its whole-batch reference, bit for bit -------
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
+    # Type counts from the table path's threshold up to 2^m; batch sizes
+    # around one step and one block of half tables, and several blocks with
+    # a ragged tail; the default TABLE_CHUNK and a small one, so that
+    # batches of test size cross block boundaries.
+    rng = stream(46, m)
+    first = max(fr.TABLE_MIN_TYPES, 4 << (m - m // 2))
+    for chunk in (fr.TABLE_CHUNK, 1 << 11):
+        monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        for types in sorted({first, int(rng.integers(first, (1 << m) + 1)), 1 << m}):
+            full = types == 1 << m
+            missing = [] if full else rng.choice(m, size=int(rng.integers(0, 3)), replace=False).tolist()
+            V, counts = _random_types(rng, m, types, full or bool(rng.integers(2)), missing)
+            assert V.shape[1] == types
+            step = max(1, chunk // types)
+            block = max(step, chunk // ((1 << m // 2) + (1 << (m - m // 2))) // step * step)
+            if chunk < fr.TABLE_CHUNK:
+                assert block > step
+            sizes = {1, step - 1, step, block - 1, block, block + 1, 3 * block + step // 2 + 1} - {0}
+            pts = _points(rng, max(sizes) // 2 + 1, m)
+            for k in sorted(sizes):
+                th = pts[:k]
+                ref_la, ref_sign, ref_cos = _table_rows(V, counts, th)
+                for signed in (False, True):
+                    kernel = fr._kernel(V, counts, signed)
+                    la, sign, cos_t = kernel(th, coords=True)
+                    assert _hex(la) == _hex(ref_la), (m, types, k, chunk)
+                    assert (sign is None) == (not signed)
+                    if signed:
+                        assert _hex(sign) == _hex(ref_sign), (m, types, k, chunk)
+                    assert _hex(cos_t) == _hex(ref_cos)
+                    no_coords = kernel(th)
+                    assert no_coords[2] is None and _hex(no_coords[0]) == _hex(la)
+
+
+def test_samplers_and_lattice_distance_keep_the_bits():
+    # The in-place samplers and lattice distance against the expressions
+    # they replace, on the same streams.
+    for m in (1, 2, 3, 8):
+        k = 3000
+        cube = fr.Region.full_cube(m).sample(stream(47, m), k)
+        assert _hex(cube) == _hex(stream(47, m).random((k, m)) - 0.5)
+        quarter = fr.Region.quarter_cube(m).sample(stream(47, m), k)
+        assert _hex(quarter) == _hex((stream(47, m).random((k, m)) - 0.5) * 0.5)
+        for radius in (0.01, 0.5, 2.0):
+            ball = fr.Region.origin_ball(m, radius).sample(stream(48, m), k)
+            rng = stream(48, m)
+            g = rng.standard_normal((k, m))
+            norms = np.linalg.norm(g, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            radii = radius * rng.random(k) ** (1.0 / m)
+            assert _hex(ball) == _hex(g / norms * radii[:, None]), (m, radius)
+        pts = np.concatenate([cube, _points(stream(49, m), 100, m), np.full((1, m), -0.5)])
+        a = np.abs(pts - np.round(pts))
+        best = np.minimum(a, 0.5 - a)
+        before = pts.copy()
+        assert _hex(fr._lattice_distance_sq(pts)) == _hex(np.einsum("ij,ij->i", best, best))
+        assert _hex(pts) == _hex(before)
+
+
+def test_table_kernel_working_set_does_not_grow_with_the_slice(monkeypatch):
+    # One slice of 16384 points at m = 10 on one thread. The half tables are
+    # built per block of points, so the traced peak of the call stays within
+    # the slice's O(m k) arrays (the angles, reused for the sines, and the
+    # cosines; the points and the result are k-sized or the caller's) plus
+    # a few TABLE_CHUNK buffers. Tables over the whole slice would need
+    # 2 (2^5 + 2^5) k doubles, 16.8 MB, on their own.
+    import tracemalloc
+    A = _wide_instance()
+    k, types = 1 << 14, A.column_types[1].size
+    th = stream(34).random((k, A.m)) - 0.5
+    monkeypatch.setattr(fr, "_worker_count", lambda: 1)
+    monkeypatch.setattr(fr, "KERNEL_CHUNK", k * types)
+    fr.dhat_log_abs_batch(A, th[:100])
+    bound = 8 * (3 * A.m * k + 2 * k + 6 * fr.TABLE_CHUNK)
+    assert 2 * (2 * 32) * k * 8 > bound
+    tracemalloc.start()
+    try:
+        fr.dhat_log_abs_batch(A, th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def _old_far(A, delta, samples, seed, inc):

@@ -221,6 +221,39 @@ def test_cli_experiment_lowerbound(capsys):
     assert "counting_bound" in payload
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("args, bound, within", [
+    (["--m", "2", "--n", "4", "--kappa", "1e308"], None, True),
+    (["--m", "10", "--n", "24", "--kappa", "1e40"], None, True),
+    (["--m", "2", "--n", "4", "--kappa", "0"], 0.0, False),
+])
+def test_cli_experiment_lowerbound_prints_valid_json(capsys, args, bound, within):
+    # An overflowing or a zero counting bound used to print Infinity or
+    # compare against it; the probe reports the bound's log2 instead.
+    code, out = run_cli(["experiment", "lowerbound", "--trials", "1"] + args, capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert payload["counting_bound"] == bound
+    m, n, kappa = int(args[1]), int(args[3]), float(args[5])
+    if kappa:
+        assert payload["counting_bound_log2"] == pytest.approx(
+            n + m * (math.log2(kappa) - 0.5 * math.log2(n)))
+        assert payload["counting_bound_log2"] > 1024
+    else:
+        assert payload["counting_bound_log2"] is None
+    assert payload["mean_good_colorings"] > 0
+    assert payload["mean_within_bound"] is within
+
+
+def test_lowerbound_probe_log2_bound_matches_the_bound():
+    rep = hz.run_lowerbound_probe(4, 8, 0.5, trials=3, seed=2)
+    assert 2.0 ** rep["counting_bound_log2"] == pytest.approx(rep["counting_bound"], rel=1e-12)
+    assert rep["mean_within_bound"] is (rep["mean_good_colorings"] <= rep["counting_bound"])
+
+
 def test_cli_oversized_config_is_usage_error(capsys):
     code = main(["experiment", "theorem", "--m-list", "4000", "--C", "100",
                  "--trials", "1"])
@@ -294,6 +327,9 @@ _GOOD = IncidenceMatrix([[1, 0, 1], [0, 1, 1]]).to_dict()
     (dict(_GOOD, seed=2.5), "field 'seed' must be an integer, not 2.5"),
     (dict(_GOOD, n=-4), "field 'n' must be at least 1, not -4"),
     (dict(_GOOD, m=0, rows=[]), "field 'm' must be at least 1, not 0"),
+    (dict(_GOOD, p=[1]), "field 'p' must be a number, not [1]"),
+    (dict(_GOOD, p="0.5"), "field 'p' must be a number, not \"0.5\""),
+    (dict(_GOOD, p=True), "field 'p' must be a number, not true"),
 ])
 @pytest.mark.parametrize("command", [
     ["invert", "--samples", "100"],
