@@ -57,10 +57,9 @@ from .setsystem import IncidenceMatrix, max_column_frequency
 from .smoothing import (
     ParitySmoother,
     SmoothingSpec,
+    _half_integral_shifts,
     _parity_rhat_of_cos,
     _rhat_md_of_cos,
-    _sampled_lattice_points,
-    half_lattice_points,
     rhat_md,
 )
 
@@ -853,12 +852,13 @@ class QuadApproxReport:
     failures: Tuple[str, ...]
 
 
-def check_quadratic_approx(A: IncidenceMatrix, theta, K: float = QUAD_K_DEFAULT) -> QuadApproxReport:
+def check_quadratic_approx(A: IncidenceMatrix, theta) -> QuadApproxReport:
     """Check |log dhat(theta) + 2 pi^2 theta^T (A A^T) theta| <= K n t^2 |theta|_2^4.
 
-    Preconditions (|theta|_2 <= 1/(16 sqrt t), max column frequency <= 4t,
-    dhat > 0) are reported in `failures` rather than silently skipped; ok is
-    None when any of them fails.
+    K is the calibrated QUAD_K_DEFAULT. Preconditions (|theta|_2 <=
+    1/(16 sqrt t), max column frequency <= 4t, dhat > 0) are reported in
+    `failures` rather than silently skipped; ok is None when any of them
+    fails.
     """
     arr = _theta_array(theta)
     t = A.t
@@ -870,7 +870,7 @@ def check_quadratic_approx(A: IncidenceMatrix, theta, K: float = QUAD_K_DEFAULT)
         failures.append("a column frequency exceeds 4t")
     ip = arr @ A.columns_f64
     quad = 2.0 * math.pi ** 2 * float(ip @ ip)
-    bound = K * A.n * t * t * norm_sq * norm_sq
+    bound = QUAD_K_DEFAULT * A.n * t * t * norm_sq * norm_sq
     if (np.cos(TWO_PI * ip) <= 0.0).any():
         failures.append("dhat is not positive at theta")
         return QuadApproxReport(None, quad, bound, None, tuple(failures))
@@ -912,10 +912,11 @@ def decay_bound_centered(theta, p: float) -> float:
     return 1.0 - 0.5 * p * float(arr @ arr)
 
 
-def decay_bound_summary(theta, p: float, c: float = SUMMARY_DECAY_C) -> float:
-    """Bound 1 - min(p |theta|_2^2 / 4, c) for the plain one-column expectation."""
+def decay_bound_summary(theta, p: float) -> float:
+    """Bound 1 - min(p |theta|_2^2 / 4, c) for the plain one-column
+    expectation, at the fixed c = SUMMARY_DECAY_C."""
     arr = _theta_array(theta)
-    return 1.0 - min(0.25 * p * float(arr @ arr), c)
+    return 1.0 - min(0.25 * p * float(arr @ arr), SUMMARY_DECAY_C)
 
 
 def one_factor_centered_exact(theta, p: float, s: float) -> float:
@@ -944,31 +945,20 @@ class SpikeReport:
     in_domain: bool
 
 
-def spike_dominance_x(
-    A: IncidenceMatrix,
-    smoothing: SmoothingSpec,
-    theta,
-    max_enumerate: int = 10 ** 6,
-    sample_count: int = 2048,
-    seed: int = 0,
-) -> SpikeReport:
+def spike_dominance_x(A: IncidenceMatrix, smoothing: SmoothingSpec, theta) -> SpikeReport:
     """Check |xhat(theta)| > 2 sum over nonzero half-integral shifts s of |xhat(theta+s)|.
 
-    Requires a width-1 smoother. All 3^m shifts are enumerated exactly when
-    3^m <= max_enumerate; otherwise the sum is estimated from sample_count
-    sampled shifts and the report is flagged non-exhaustive. |dhat| is also
-    re-evaluated at every tested shift to confirm its half-integral
+    Requires a width-1 smoother. All 3^m - 1 shifts are enumerated exactly
+    while 3^m <= 10^6; otherwise the sum is estimated from 2048 shifts
+    sampled from stream(0) and the report is flagged non-exhaustive. |dhat|
+    is also re-evaluated at every tested shift to confirm its half-integral
     periodicity; the worst deviation is reported.
     """
     if not isinstance(smoothing, SmoothingSpec) or smoothing.delta != 1:
         raise ValueError("spike dominance is checked for the width-1 smoother only")
     arr = _theta_array(theta)
     m = arr.size
-    exhaustive = 3 ** m <= max_enumerate
-    if exhaustive:
-        shifts = half_lattice_points(m)
-    else:
-        shifts = _sampled_lattice_points(m, sample_count, stream(seed))
+    shifts, exhaustive = _half_integral_shifts(m, 2048)
     d0 = dhat(A, arr)
     r0 = float(rhat_md(1, arr))
     shifted = arr[None, :] + shifts

@@ -166,7 +166,7 @@ def _run_one_trial(cfg: ExperimentConfig, m: int, n: int, trial: int):
 def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremExperimentReport:
     """Sample `trials` instances per m, run the configured solver at the
     target discrepancy, and tabulate success rates and regime flags."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows: List[TrialRow] = []
     per_m: Dict[int, dict] = {}
     for m in cfg.m_list:
@@ -190,7 +190,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> TheoremExperimentReport:
             "freq_cap_violations": sum(not ok for _, ok in results),
         }
     return TheoremExperimentReport(
-        config=cfg.to_dict(), rows=rows, per_m=per_m, runtime_s=time.time() - t0)
+        config=cfg.to_dict(), rows=rows, per_m=per_m, runtime_s=time.perf_counter() - t0)
 
 
 LOWERBOUND_MAX_N = 24
@@ -203,19 +203,20 @@ def run_lowerbound_probe(
     trials: int,
     seed: int = 42,
     kappa: float = 3.0,
-    delta: int = 1,
 ) -> dict:
     """Exhaustive minimum-discrepancy statistics on tiny instances, against
-    the counting upper bound 2^n (kappa delta / sqrt n)^m on good colorings."""
+    the counting upper bound 2^n (kappa delta / sqrt n)^m on the colorings
+    of discrepancy at most delta = 1."""
     if n > LOWERBOUND_MAX_N:
         raise ValueError(f"probe requires n <= {LOWERBOUND_MAX_N}, got {n}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    delta = 1
     bound = sv.counting_bound(m, n, delta, kappa)
     # log2 of the bound, None when it is zero; the bound itself is reported
     # only while finite, since JSON has no infinity.
     log2_bound = (None if bound == 0.0 else
-                  n + m * (math.log2(kappa) + math.log2(delta) - 0.5 * math.log2(n)))
+                  n + m * (math.log2(kappa) - 0.5 * math.log2(n)))
     histogram: Dict[int, int] = {}
     good_counts: List[int] = []
     for trial in range(trials):

@@ -34,7 +34,7 @@ from .fourier import (
 from .rng import child_seed
 from .setsystem import IncidenceMatrix
 from .smoothing import ParitySmoother, SmoothingSpec, _row_product
-from .solvers import coloring_disc_counts
+from .solvers import _disc_law, coloring_disc_counts
 
 __all__ = [
     "PointProbability",
@@ -107,24 +107,26 @@ def _integer_row_laws(smoothing, m: int) -> Tuple[List[Dict[int, int]], int]:
 def prob_exact(A: IncidenceMatrix, smoothing, lam) -> Fraction:
     """Exact Pr[X = lambda] from the exact law of A x.
 
-    Convolves the law of A x (`coloring_disc_counts`, a dynamic program
-    over column types whose cost grows with the number of distinct values
-    of A x) with the smoother's law in integers and divides once at the
-    end. Works for both smoother kinds; refuses n > 24.
+    Takes the law of A x from `solvers._disc_law`, a dynamic program over
+    column types whose cost grows with the number of distinct values of
+    A x, keeps the values every row's smoother law can move onto lambda,
+    convolves those with the smoother's law in integers and divides once
+    at the end. Works for both smoother kinds; refuses n > 24.
     """
     if A.n > EXACT_MAX_N:
         raise ValueError(f"refusing the exact law for n={A.n} > {EXACT_MAX_N}")
     target = _lambda_array(A, lam).tolist()
     rows, denominator = _integer_row_laws(smoothing, A.m)
+    states, counts = _disc_law(A)
+    reach = np.ones(len(counts), dtype=bool)
+    for i, (row, lam_i) in enumerate(zip(rows, target)):
+        # |D_i| <= n, so farther values cannot occur (and would not fit int8).
+        reach &= np.isin(states[:, i], [lam_i - r for r in row if abs(lam_i - r) <= A.n])
     total = 0
-    for disc_vec, cnt in coloring_disc_counts(A).items():
+    for disc_vec, cnt in zip(states[reach].tolist(), counts[reach].tolist()):
         for row, lam_i, d in zip(rows, target, disc_vec):
-            num = row.get(lam_i - d)
-            if num is None:
-                break
-            cnt *= num
-        else:
-            total += cnt
+            cnt *= row[lam_i - d]
+        total += cnt
     return Fraction(total, denominator << A.n)
 
 

@@ -194,33 +194,32 @@ def rho(delta: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _half_lattice_cached(m: int, include_zero: bool) -> np.ndarray:
-    count = 3 ** m
-    k = np.arange(count)
+def half_lattice_points(m: int) -> np.ndarray:
+    """All nonzero points of {-1/2, 0, 1/2}^m as a read-only (3^m - 1, m) array."""
+    k = np.arange(3 ** m)
     digits = (k[:, None] // (3 ** np.arange(m))) % 3
-    pts = (digits - 1) * 0.5
-    if not include_zero:
-        pts = pts[~np.all(digits == 1, axis=1)]
+    pts = ((digits - 1) * 0.5)[~np.all(digits == 1, axis=1)]
     pts.flags.writeable = False
     return pts
 
 
-def half_lattice_points(m: int, include_zero: bool = False) -> np.ndarray:
-    """All points of {-1/2, 0, 1/2}^m as a read-only (3^m[ - 1], m) array."""
-    return _half_lattice_cached(int(m), bool(include_zero))
+def _half_integral_shifts(m: int, samples: int) -> Tuple[np.ndarray, bool]:
+    """Nonzero shifts s in {-1/2, 0, 1/2}^m, and whether they are all of them.
 
-
-def _sampled_lattice_points(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count nonzero points of {-1/2, 0, 1/2}^m, sampled with replacement."""
-    out = np.empty((count, m))
+    All 3^m - 1 are returned while 3^m <= 10^6; beyond that, `samples` of
+    them drawn with replacement from stream(0).
+    """
+    if 3 ** m <= 10 ** 6:
+        return half_lattice_points(m), True
+    rng = stream(0)
+    out = np.empty((samples, m))
     filled = 0
-    while filled < count:
-        digits = rng.integers(0, 3, size=(count - filled, m))
-        keep = ~np.all(digits == 1, axis=1)
-        good = (digits[keep] - 1) * 0.5
+    while filled < samples:
+        digits = rng.integers(0, 3, size=(samples - filled, m))
+        good = (digits[~np.all(digits == 1, axis=1)] - 1) * 0.5
         out[filled:filled + good.shape[0]] = good
         filled += good.shape[0]
-    return out
+    return out, False
 
 
 # -- decay bounds ---------------------------------------------------------------
@@ -243,13 +242,7 @@ class RhatBoundReport:
     ratio_exhaustive: bool
 
 
-def check_rhat_bounds(
-    delta: int,
-    theta,
-    max_enumerate: int = 10 ** 6,
-    sample_count: int = 4096,
-    seed: int = 0,
-) -> RhatBoundReport:
+def check_rhat_bounds(delta: int, theta) -> RhatBoundReport:
     """Check the three decay inequalities of the multi-d transform at theta.
 
     upper:  rhat(theta) <= exp(-pi^2 delta |theta|_2^2)      for |theta|_inf <= 1/2
@@ -257,9 +250,9 @@ def check_rhat_bounds(
                                - 20 delta |theta|_2^4)        for |theta|_inf <= 1/4
     ratio:  rhat(theta+s) <= rhat(theta) * prod_{i in supp s}
                                (32 theta_i^2)^delta           for |theta|_inf <= 1/8,
-            for every half-integral shift s; all 3^m shifts are enumerated
-            when 3^m <= max_enumerate, otherwise sample_count of them are
-            sampled from the stream (seed).
+            for every nonzero half-integral shift s; all 3^m - 1 shifts
+            are enumerated while 3^m <= 10^6, otherwise 4096 of them are
+            sampled from stream(0) and ratio_exhaustive is False.
     """
     arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
     if arr.ndim != 1:
@@ -285,11 +278,7 @@ def check_rhat_bounds(
     ratio_terms = 0
     ratio_exhaustive = True
     if linf <= 0.125 + 1e-15:
-        if 3 ** m <= max_enumerate:
-            shifts = half_lattice_points(m)
-        else:
-            ratio_exhaustive = False
-            shifts = _sampled_lattice_points(m, sample_count, stream(seed))
+        shifts, ratio_exhaustive = _half_integral_shifts(m, 4096)
         ratio_terms = shifts.shape[0]
         lhs = rhat_md(delta, arr[None, :] + shifts)
         factor = (32.0 * arr * arr) ** delta

@@ -141,7 +141,18 @@ def count_colorings_within(A: IncidenceMatrix, delta: int) -> int:
 
 
 def coloring_disc_counts(A: IncidenceMatrix) -> Dict[Tuple[int, ...], int]:
-    """Counts of each signed-discrepancy vector over all 2^n colorings.
+    """Counts of each signed-discrepancy vector over all 2^n colorings."""
+    states, counts = _disc_law(A)
+    law: Dict[Tuple[int, ...], int] = {}
+    for lo in range(0, len(counts), _CHUNK):  # bounds the per-coordinate lists
+        coords = states[lo:lo + _CHUNK].T.tolist()
+        law.update(zip(zip(*coords), counts[lo:lo + _CHUNK].tolist()))
+    return law
+
+
+def _disc_law(A: IncidenceMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """The law of A x over all 2^n colorings: its distinct values as the
+    rows of an int8 array, and the number of colorings reaching each.
 
     A x = sum_v s_v v over the column types v, where s_v = c_v - 2k is the
     signed sum of the c_v colors on the columns of type v, reached by
@@ -163,11 +174,7 @@ def coloring_disc_counts(A: IncidenceMatrix) -> Dict[Tuple[int, ...], int]:
         states = (states[:, None, :] + shifts).reshape(-1, A.m)
         counts = (counts[:, None] * ways).reshape(-1)
         states, counts = _merge_equal_rows(states, counts)
-    law: Dict[Tuple[int, ...], int] = {}
-    for lo in range(0, len(counts), _CHUNK):  # bounds the per-coordinate lists
-        coords = states[lo:lo + _CHUNK].T.tolist()
-        law.update(zip(zip(*coords), counts[lo:lo + _CHUNK].tolist()))
-    return law
+    return states, counts
 
 
 def _merge_equal_rows(states: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

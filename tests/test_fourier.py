@@ -381,7 +381,7 @@ def test_d2_matches_exhaustive_minimum():
     for _ in range(50):
         m = int(rng.integers(1, 4))
         th = rng.uniform(-0.5, 0.5, size=m)
-        pts = half_lattice_points(m, include_zero=True)
+        pts = np.vstack([np.zeros((1, m)), half_lattice_points(m)])
         brute_full = np.linalg.norm(th[None, :] - pts, axis=1).min()
         assert dl.d2_to_lattice(th) == pytest.approx(brute_full, abs=1e-12)
 
@@ -549,10 +549,10 @@ def test_spike_dominance_random_instances():
 def test_spike_dominance_sampled_fallback():
     s1 = dl.build_pmf(1)
     A = dl.sample_bernoulli(14, 60, 0.5, 5)
-    th = np.full(14, 0.002)
-    rep = dl.spike_dominance_x(A, s1, th, max_enumerate=10 ** 4, sample_count=512)
+    th = np.full(14, 0.002)  # 3^14 shifts > 10^6
+    rep = dl.spike_dominance_x(A, s1, th)
     assert not rep.exhaustive
-    assert rep.terms == 512
+    assert rep.terms == 2048
 
 
 def test_far_region_integral_and_bound():

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import disclab as dl
 from disclab import harness as hz
 from disclab import inversion as iv
+from disclab import suites
 from disclab.cli import main
 from disclab.setsystem import IncidenceMatrix
 
@@ -43,6 +46,17 @@ def test_theorem_experiment_zero_trials():
     rep = hz.run_theorem_experiment(cfg)
     assert rep.rows == []
     assert rep.per_m[3]["success_rate"] is None
+
+
+def test_runtimes_ignore_the_clock_stepping_back(monkeypatch):
+    # time.time follows the system clock, which may be set back mid-run.
+    ticks = itertools.count(0, -3600)
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+    monkeypatch.setitem(suites.SUITE_NAMES, "smoothing",
+                        lambda seed: suites.SuiteReport("smoothing", seed))
+    assert suites.run_suite("smoothing", 42).runtime_s >= 0
+    rep = hz.run_theorem_experiment(hz.ExperimentConfig(m_list=[3], trials=0))
+    assert rep.runtime_s >= 0
 
 
 def test_theorem_experiment_rows_and_regime_flags():
@@ -387,6 +401,28 @@ def test_cli_invert_large_n_in_bounded_memory(tmp_path):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["estimate"]["samples"] == 100000
+
+
+def test_cli_invert_exact_in_bounded_memory(tmp_path):
+    # m=10, n=21 under a 384 MB address-space cap on the child only. The law
+    # of A x has 1.6 M values here. Held as a dict of tuples, it took the
+    # process to 515 MB of address space; kept as arrays, of which only the
+    # values that can reach lambda are walked, it takes 225 MB. One BLAS
+    # thread, and 16 samples keep the transform on the calling thread, so
+    # the cap does not depend on the core count.
+    resource = pytest.importorskip("resource")
+    limit = 384 * 2 ** 20
+    inst = tmp_path / "inst.json"
+    dl.sample_bernoulli(10, 21, 0.5, 12).save(inst)
+    env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "disclab.cli", "invert", "--in", str(inst),
+         "--lambda", ",".join(["0"] * 10), "--samples", "16", "--exact"],
+        capture_output=True, text=True, env=env, timeout=600,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["exact"] is not None
 
 
 def _readme_commands(*prefixes):

@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+from disclab import fourier as fr
+from disclab import harness as hz
+from disclab import smoothing as sm
 from disclab import suites
 
 
@@ -25,6 +28,24 @@ def test_suites_take_only_a_seed():
         params = inspect.signature(fn).parameters
         assert list(params) == ["seed"] and params["seed"].default == 42, fn.__name__
     assert list(inspect.signature(suites.run_suite).parameters) == ["name", "seed"]
+
+
+def test_checkers_take_no_tuning_parameters():
+    # The suites report the constants these checks run at; no caller sets
+    # another, so none is a parameter.
+    empty = inspect.Parameter.empty
+    expected = {
+        fr.spike_dominance_x: [("A", empty), ("smoothing", empty), ("theta", empty)],
+        sm.check_rhat_bounds: [("delta", empty), ("theta", empty)],
+        fr.check_quadratic_approx: [("A", empty), ("theta", empty)],
+        fr.decay_bound_summary: [("theta", empty), ("p", empty)],
+        hz.run_lowerbound_probe: [("m", empty), ("n", empty), ("p", empty),
+                                  ("trials", empty), ("seed", 42), ("kappa", 3.0)],
+        sm.half_lattice_points: [("m", empty)],
+    }
+    for fn, params in expected.items():
+        got = [(q.name, q.default) for q in inspect.signature(fn).parameters.values()]
+        assert got == params, fn.__name__
 
 
 def test_unknown_suite_name():
