@@ -32,9 +32,7 @@ from .smoothing import (
 from .fourier import (
     Estimate,
     Region,
-    ThetaPoint,
     check_quadratic_approx,
-    d2_to_lattice,
     dhat,
     dhat_bruteforce,
     dhat_partial,

@@ -28,15 +28,21 @@ region's lattice-distance indicator, lives in the integrand. Blocks of
 MC_BLOCK points are seeded by index, so estimates depend only on
 (seed, samples).
 
-The per-point work of every Monte Carlo integrand is one row split over
-every core the process may run on (`_map_rows`, a process-wide thread
-pool built on first use). The kernel hands each slice's coordinate
-cosines cos(2 pi theta_i) to the integrand's `combine` function, which
-builds the rest in the same pass: the clamped exp, the smoother's
-transform in `xhat_batch`, the near-shell factor of the assembly or the
-far region's smoother log. Each row is computed the same way whichever
-thread computes it and whatever slice holds it, so every value, and
-every estimate built on it, is the same at any core count.
+`integrate_mc` takes its blocks in windows of one per core: the calling
+thread and a process-wide thread pool (built on first use) draw a
+window's blocks at once, and the integrand is called once per window on
+the calling thread. Its per-point work is one row split over every core
+(`_map_rows`): the kernel hands each slice's coordinate cosines
+cos(2 pi theta_i) to the integrand's `combine` function, which builds the
+rest in the same pass (the clamped exp, the smoother's transform in
+`xhat_batch`, the near-shell factor of the assembly or the far region's
+smoother log). Each row is computed the same way whichever thread
+computes it and whatever slice or window holds it, and block moments are
+merged in block order, so every estimate is the same at any core count.
+Only the draws run on the pool, not whole blocks: bench/tracing.py starts
+and stops the process-wide `tracemalloc` around each kernel call
+(`dhat_batch`, `dhat_log_abs_batch`, `dhat_partial`), which has crashed
+the interpreter when such a call ran on a pool thread.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -64,7 +70,6 @@ from .smoothing import (
 )
 
 __all__ = [
-    "ThetaPoint",
     "Estimate",
     "Region",
     "RegionKind",
@@ -75,7 +80,6 @@ __all__ = [
     "dhat_partial",
     "xhat",
     "xhat_batch",
-    "d2_to_lattice",
     "gaussian_fhat",
     "gaussian_density_zero",
     "integrate_mc",
@@ -157,28 +161,8 @@ SPIKE_RADIUS = 1.0 / 16.0
 # -- basic types -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
-    """A point of the fundamental torus cube [-1/2, 1/2)^m."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coords, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("theta must be a nonempty vector")
-        if (arr < -0.5).any() or (arr >= 0.5).any():
-            raise ValueError("theta coordinates must lie in [-1/2, 1/2)")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def m(self) -> int:
-        return self.coords.size
-
-
 def _theta_array(theta) -> np.ndarray:
-    arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
+    arr = np.asarray(theta, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a single theta vector")
     return arr
@@ -246,12 +230,14 @@ class Region:
             return 0.5 ** self.m
         return unit_ball_volume(self.m) * self.radius ** self.m
 
-    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """k points drawn uniformly from the region."""
+    def sample(self, rng: np.random.Generator, k: int,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """k points drawn uniformly from the region, into out if given (a
+        C-contiguous (k, m) array) with the same bits."""
         if self.kind is RegionKind.ORIGIN_BALL:
             # Polar sampling: Gaussian direction, radius via u^(1/m). Exactly
             # uniform in the ball, no rejection, deterministic per stream.
-            g = rng.standard_normal((k, self.m))
+            g = rng.standard_normal((k, self.m), out=out)
             norms = np.linalg.norm(g, axis=1, keepdims=True)
             norms[norms == 0.0] = 1.0
             radii = rng.random(k)
@@ -260,7 +246,7 @@ class Region:
             g /= norms
             g *= radii[:, None]
             return g
-        pts = rng.random((k, self.m))
+        pts = rng.random((k, self.m), out=out)
         pts -= 0.5
         if self.kind is RegionKind.QUARTER_CUBE:
             pts *= 0.5
@@ -274,11 +260,6 @@ def _lattice_distance_sq(pts: np.ndarray) -> np.ndarray:
     np.abs(np.subtract(pts, a, out=a), out=a)
     np.minimum(a, np.subtract(0.5, a), out=a)
     return np.einsum("ij,ij->i", a, a)
-
-
-def d2_to_lattice(theta) -> float:
-    """Euclidean distance from theta to the half-integral lattice."""
-    return float(math.sqrt(_lattice_distance_sq(_theta_array(theta)[None, :])[0]))
 
 
 # -- transforms of the signed discrepancy ------------------------------------------
@@ -551,7 +532,7 @@ def _kernel_pool(workers: int) -> ThreadPoolExecutor:
 
 def _theta_rows(thetas, m: int) -> np.ndarray:
     """A batch of theta rows (or one theta) as a contiguous (B, m) float array."""
-    thetas = np.asarray(getattr(thetas, "coords", thetas), dtype=np.float64)
+    thetas = np.asarray(thetas, dtype=np.float64)
     thetas = np.ascontiguousarray(np.atleast_2d(thetas))
     if thetas.shape[-1] != m:
         raise ValueError(f"theta dimension {thetas.shape[-1]} != m={m}")
@@ -596,8 +577,9 @@ def _map_rows(fn: Callable[[np.ndarray], np.ndarray], A: IncidenceMatrix, thetas
         for part in slices[::workers]:
             run(part)
     finally:
-        for f in futures:  # also when the caller's share raised: no writes after return
-            f.result()
+        wait(futures)  # also when a slice raised: no writes after return
+    for f in futures:
+        f.result()
     return out
 
 
@@ -735,7 +717,7 @@ def _validate_covariance(Sigma: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def gaussian_fhat(Sigma, theta) -> Union[float, np.ndarray]:
     """Transform of a centered Gaussian: exp(-2 pi^2 theta^T Sigma theta)."""
     S = _validate_covariance(Sigma)
-    arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
+    arr = np.asarray(theta, dtype=np.float64)
     batch = np.atleast_2d(arr)
     q = np.einsum("bi,ij,bj->b", batch, S, batch)
     out = np.exp(-2.0 * math.pi ** 2 * q)
@@ -809,24 +791,50 @@ def integrate_mc(
 
     f maps a (k, m) batch of points drawn uniformly from the region to (k,)
     values; the estimate is the region's volume times their mean. Block b
-    draws at most MC_BLOCK points from the derived stream (seed, b) and
-    partial sums are reduced in block order, so the estimate depends only
-    on (seed, samples), never on scheduling. When stderr_target is given,
-    the budget doubles from one block until the reported stderr (scaled by
-    the region volume) meets it, with `samples` as the hard cap; the
-    Estimate reports the samples spent.
+    draws at most MC_BLOCK points from the derived stream (seed, b), and
+    each block's moments are merged in block order, so the estimate
+    depends only on (seed, samples), never on scheduling.
+
+    The blocks are taken in windows of one per core (`_worker_count`):
+    the calling thread and the kernel pool draw a window's blocks at once
+    into one array, which f then gets on the calling thread, each block
+    MC_BLOCK points but the last. The array is reused from window to
+    window, so f must not keep it. When stderr_target is given, the budget
+    doubles from one block until the reported stderr (scaled by the region
+    volume) meets it, with `samples` as the hard cap; no window crosses
+    one of these checkpoints, and the Estimate reports the samples spent.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     scale = region.volume()
     moments = RunningMoments()
-    block_index = 0
-    checkpoint = MC_BLOCK
-    while moments.count < samples:
-        pts = region.sample(stream(seed, block_index), min(MC_BLOCK, samples - moments.count))
-        moments.add(np.asarray(f(pts), dtype=np.float64))
-        block_index += 1
-        if stderr_target is not None and moments.count >= checkpoint:
+    workers = 1 if getattr(_in_slice, "active", False) else _worker_count()
+    blocks = -(-samples // MC_BLOCK)
+    window = np.empty((min(samples, workers * MC_BLOCK), region.m))
+
+    def draw(b: int, lo: int) -> None:
+        k = min(MC_BLOCK, samples - b * MC_BLOCK)
+        region.sample(stream(seed, b), k, out=window[lo:lo + k])
+
+    start, checkpoint = 0, 1  # in blocks
+    while start < blocks:
+        stop = min(blocks, start + workers, blocks if stderr_target is None else checkpoint)
+        futures = []
+        if stop - start > 1:
+            pool = _kernel_pool(workers)
+            futures = [pool.submit(draw, b, (b - start) * MC_BLOCK) for b in range(start + 1, stop)]
+        try:
+            draw(start, 0)
+        finally:
+            wait(futures)  # also when the caller's draw raised: no task outlives the call
+        for fut in futures:
+            fut.result()
+        size = min(samples, stop * MC_BLOCK) - start * MC_BLOCK
+        vals = np.asarray(f(window[:size]), dtype=np.float64)
+        for lo in range(0, size, MC_BLOCK):
+            moments.add(vals[lo:lo + MC_BLOCK])
+        start = stop
+        if stderr_target is not None and start == checkpoint:
             if scale * moments.stderr <= stderr_target:
                 break
             checkpoint *= 2
@@ -1015,7 +1023,8 @@ def far_region_integral(
     One `integrate_mc` call over the full cube. The integrand is zero at
     points whose squared distance to the half-integral lattice is below
     delta^2 and evaluates the kernel on the other, far points only; it
-    also keeps a running log-sum-exp of their log values for `log_mean`.
+    also keeps a running log-sum-exp of their log values for `log_mean`,
+    advanced block by block.
     The report carries the comparison value exp(-p delta^2 n / 24) and the
     two side conditions p delta^2 / 6 <= 1 and p delta^2 <= FAR_SIDE_C.
     When include_rhat_delta is given, the integrand is |xhat| for that
@@ -1042,11 +1051,15 @@ def far_region_integral(
         everywhere = far.all()  # at m = 10, every block: no copy of its points
         la = dhat_log_abs_batch(A, pts if everywhere else pts[far],
                                 None if include_rhat_delta is None else add_log_rhat)
-        finite = la[la > -math.inf]
-        if finite.size:
-            fmax = max(lse_max, float(finite.max()))
-            lse_sum = lse_sum * math.exp(lse_max - fmax) + float(np.exp(finite - fmax).sum())
-            lse_max = fmax
+        # The log-sum-exp advances one MC block at a time, in block order,
+        # whichever window holds the block.
+        cuts = np.searchsorted(np.flatnonzero(far), range(MC_BLOCK, len(pts), MC_BLOCK))
+        for part in np.split(la, cuts):
+            finite = part[part > -math.inf]
+            if finite.size:
+                fmax = max(lse_max, float(finite.max()))
+                lse_sum = lse_sum * math.exp(lse_max - fmax) + float(np.exp(finite - fmax).sum())
+                lse_max = fmax
         if everywhere:
             return _exp_clamped(la)
         vals = np.zeros(len(pts))

@@ -34,7 +34,7 @@ from .fourier import (
 from .rng import child_seed
 from .setsystem import IncidenceMatrix
 from .smoothing import ParitySmoother, SmoothingSpec, _row_product
-from .solvers import _disc_law, coloring_disc_counts
+from .solvers import _disc_law
 
 __all__ = [
     "PointProbability",
@@ -131,11 +131,20 @@ def prob_exact(A: IncidenceMatrix, smoothing, lam) -> Fraction:
 
 
 def distribution_exact(A: IncidenceMatrix, smoothing) -> dict:
-    """The full exact law of X as {lambda tuple: Fraction}; sums to one."""
+    """The full exact law of X as {lambda tuple: Fraction}; sums to one.
+
+    Refuses n > 24, and laws that may exceed 2^20 entries: the values of
+    A x (the type DP's states) times the rows' smoother supports. At
+    m = 6, n = 12 a bound of 1.0e6 held 313 021 entries in 83 MB.
+    """
     if A.n > EXACT_MAX_N:
         raise ValueError(f"refusing the exact law for n={A.n} > {EXACT_MAX_N}")
     rows, denominator = _integer_row_laws(smoothing, A.m)
-    law = coloring_disc_counts(A)
+    states, counts = _disc_law(A)
+    size = len(counts) * math.prod(len(row) for row in rows)
+    if size > 1 << 20:
+        raise ValueError(f"refusing the exact law with up to {size} entries > 2^20")
+    law = dict(zip(map(tuple, states.tolist()), counts.tolist()))
     for i, row in enumerate(rows):  # the smoother's rows are independent
         smoothed: Dict[Tuple[int, ...], int] = {}
         for vec, cnt in law.items():

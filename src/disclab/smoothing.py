@@ -153,7 +153,7 @@ def _row_product(factors: np.ndarray) -> np.ndarray:
 
 def rhat_md(delta: int, theta) -> np.ndarray:
     """Product of 1-d transforms along the last axis (batch friendly)."""
-    arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
+    arr = np.asarray(theta, dtype=np.float64)
     out = _rhat_md_of_cos(delta, np.cos(2.0 * np.pi * arr))
     return float(out) if out.ndim == 0 else out
 
@@ -166,7 +166,7 @@ def _rhat_md_of_cos(delta: int, cos_t: np.ndarray) -> np.ndarray:
 
 def parity_rhat(smoother: ParitySmoother, theta) -> np.ndarray:
     """Transform of the parity smoother: product of cos(2 pi theta_i) on odd rows."""
-    arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
+    arr = np.asarray(theta, dtype=np.float64)
     if arr.shape[-1] != smoother.m:
         raise ValueError("theta dimension does not match the smoother")
     out = _parity_rhat_of_cos(smoother, np.cos(2.0 * np.pi * arr))
@@ -254,7 +254,7 @@ def check_rhat_bounds(delta: int, theta) -> RhatBoundReport:
             are enumerated while 3^m <= 10^6, otherwise 4096 of them are
             sampled from stream(0) and ratio_exhaustive is False.
     """
-    arr = np.asarray(getattr(theta, "coords", theta), dtype=np.float64)
+    arr = np.asarray(theta, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("theta must be a vector")
     m = arr.size

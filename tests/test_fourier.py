@@ -2,6 +2,7 @@ import math
 import multiprocessing as mp
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -370,20 +371,19 @@ def test_xhat_examples():
     assert dl.xhat(A, s1, [0.125]) == pytest.approx(expected, abs=1e-12)
 
 
-def test_d2_to_lattice_examples():
-    assert dl.d2_to_lattice([0.0, 0.0]) == 0.0
-    assert dl.d2_to_lattice([0.25, 0.25]) == pytest.approx(math.sqrt(2) / 4)
-    assert dl.d2_to_lattice([0.4, 0.0]) == pytest.approx(0.1)
-
-
 def test_d2_matches_exhaustive_minimum():
+    # The squared distance to the half-integral lattice, on hand examples
+    # and against the minimum over every lattice point of the cube.
+    examples = np.array([[0.0, 0.0], [0.25, 0.25], [0.4, 0.0]])
+    assert fr._lattice_distance_sq(examples) == pytest.approx([0.0, 0.125, 0.01])
     rng = stream(24)
     for _ in range(50):
         m = int(rng.integers(1, 4))
         th = rng.uniform(-0.5, 0.5, size=m)
         pts = np.vstack([np.zeros((1, m)), half_lattice_points(m)])
         brute_full = np.linalg.norm(th[None, :] - pts, axis=1).min()
-        assert dl.d2_to_lattice(th) == pytest.approx(brute_full, abs=1e-12)
+        d2 = fr._lattice_distance_sq(th[None, :])[0]
+        assert math.sqrt(d2) == pytest.approx(brute_full, abs=1e-12)
 
 
 def test_gaussian_fhat_and_density():
@@ -601,15 +601,6 @@ def test_gaussian_norm_tail():
         for lam in (1.0, 2.0, 3.0):
             emp = float(np.mean(norms > math.sqrt(m) + lam))
             assert emp <= 2 * math.exp(-lam ** 2 / 2)
-
-
-def test_theta_point_validation():
-    p = fr.ThetaPoint(np.array([0.2, -0.5]))
-    assert p.m == 2
-    with pytest.raises(ValueError):
-        fr.ThetaPoint(np.array([0.5, 0.0]))
-    assert dl.dhat(IncidenceMatrix([[1, 0], [0, 1]]), p) == pytest.approx(
-        math.cos(2 * math.pi * 0.2) * math.cos(2 * math.pi * -0.5))
 
 
 def test_estimate_stderr_is_sample_std_over_sqrt_n():
@@ -1091,3 +1082,243 @@ def test_integrands_enter_the_kernel_on_the_calling_thread(monkeypatch):
     dl.prob_even_variant(A, 3000, 2)
     dl.three_region_assembly(A, s, 3000, 3)
     assert threads == {threading.current_thread().name}
+
+
+# -- Monte Carlo windows ------------------------------------------------------------
+
+
+def _block_loop(f, region, samples, seed, stderr_target=None):
+    """integrate_mc as a loop of one block at a time: draw a block, call f,
+    merge its moments, test the checkpoint."""
+    scale = region.volume()
+    moments = fr.RunningMoments()
+    block_index, checkpoint = 0, fr.MC_BLOCK
+    while moments.count < samples:
+        pts = region.sample(stream(seed, block_index), min(fr.MC_BLOCK, samples - moments.count))
+        moments.add(np.asarray(f(pts), dtype=np.float64))
+        block_index += 1
+        if stderr_target is not None and moments.count >= checkpoint:
+            if scale * moments.stderr <= stderr_target:
+                break
+            checkpoint *= 2
+    return fr.Estimate(scale * moments.mean, scale * moments.stderr, moments.count, int(seed))
+
+
+def _with_block_loop(monkeypatch, run):
+    """run() with every estimator on the one-block loop instead of windows."""
+    from disclab import inversion
+    with monkeypatch.context() as patch:
+        for mod in (fr, inversion):
+            patch.setattr(mod, "integrate_mc", _block_loop)
+        return run()
+
+
+def _est_hex(est):
+    return (float(est.value).hex(), float(est.stderr).hex(), est.samples)
+
+
+def test_windows_keep_the_bits_of_the_block_loop(monkeypatch):
+    # 3 MC_BLOCK + 1 samples, so the last block holds one point: at 1, 2
+    # and 3 workers the windows are 4, 2 + 2 and 3 + 1 blocks. Every
+    # estimate, and the far region's block-by-block log-sum-exp, keeps the
+    # bits of the one-block loop.
+    A = dl.sample_bernoulli(3, 40, 0.5, 4)
+    s = dl.build_pmf(1)
+    k = 3 * fr.MC_BLOCK + 1
+
+    def run():
+        far = dl.far_region_integral(A, 0.1, k, 6, include_rhat_delta=1)
+        ests = (dl.prob_fourier_mc(A, s, [0, 0, 0], k, 3),
+                dl.prob_fourier_mc(A, s, [1, -1, 0], k, 3),
+                dl.prob_even_variant(A, k, 5),
+                far.estimate)
+        assert all(e.samples == k for e in ests)
+        return [_est_hex(e) for e in ests] + [float(far.log_mean).hex()]
+
+    expected = _with_block_loop(monkeypatch, run)
+    calls = []
+    split = fr._map_rows
+
+    def recorded_split(fn, A, thetas):
+        calls.append(len(thetas))
+        return split(fn, A, thetas)
+
+    monkeypatch.setattr(fr, "_map_rows", recorded_split)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fr, "_worker_count", lambda: workers)
+        calls.clear()
+        assert run() == expected, workers
+        # four estimators, each entering the kernel once per window (the
+        # far region on its far points only)
+        windows = -(-4 // workers)
+        assert len(calls) == 4 * windows, (workers, calls)
+
+
+def test_adaptive_windows_stop_at_the_checkpoint(monkeypatch):
+    # Checkpoints fall after blocks 1, 2, 4 and 8. The target is met first
+    # at 8 blocks, so at 3 workers the windows are 1, 1, 2, 3 and 1 blocks,
+    # the last cut short by the checkpoint, and no block past the stop is
+    # drawn.
+    monkeypatch.setattr(fr, "MC_BLOCK", 1000)
+    region = fr.Region.quarter_cube(3)
+    f = lambda p: np.cos(2 * np.pi * p[:, 0]) + p[:, 1]  # noqa: E731
+    fixed = {c: _block_loop(f, region, c, 4) for c in (1000, 2000, 4000, 8000)}
+    target = fixed[8000].stderr * 1.0001
+    assert min(fixed[c].stderr for c in (1000, 2000, 4000)) > target
+    expected = _block_loop(f, region, 10 ** 6, 4, stderr_target=target)
+    assert expected == fixed[8000]
+    real_stream, drawn, sizes = fr.stream, [], []
+
+    def recorded_stream(seed, *path):
+        drawn.append(path)
+        return real_stream(seed, *path)
+
+    def counted(p):
+        sizes.append(len(p))
+        return f(p)
+
+    monkeypatch.setattr(fr, "stream", recorded_stream)
+    for workers, windows in ((1, [1] * 8), (2, [1, 1, 2, 2, 2]), (3, [1, 1, 2, 3, 1])):
+        monkeypatch.setattr(fr, "_worker_count", lambda: workers)
+        drawn.clear()
+        sizes.clear()
+        est = dl.integrate_mc(counted, region, 10 ** 6, 4, stderr_target=target)
+        assert _est_hex(est) == _est_hex(expected), workers
+        assert sizes == [1000 * w for w in windows], workers
+        assert sorted(drawn) == [(b,) for b in range(8)], workers
+
+
+def test_multi_block_calls_enter_the_kernel_on_the_calling_thread(monkeypatch):
+    # Five blocks per call at three workers: the draws of each window run on
+    # the pool too, but no kernel-named function is entered there.
+    from disclab import inversion
+    A = dl.sample_bernoulli(3, 200, 0.5, 1)
+    s = dl.build_pmf(1)
+    monkeypatch.setattr(fr, "MC_BLOCK", 1000)
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(fr, "_worker_count", lambda: 3)
+    kernel_threads, draw_threads = set(), set()
+    for name in ("dhat_batch", "dhat_log_abs_batch", "dhat_partial"):
+        def wrapped(*args, real=getattr(fr, name), **kwargs):
+            kernel_threads.add(threading.current_thread().name)
+            return real(*args, **kwargs)
+        for mod in (fr, inversion):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    real_stream = fr.stream
+
+    def recorded_stream(seed, *path):
+        draw_threads.add(threading.current_thread().name)
+        return real_stream(seed, *path)
+
+    monkeypatch.setattr(fr, "stream", recorded_stream)
+    dl.prob_fourier_mc(A, s, [1, 0, 0], 5000, 1)
+    dl.prob_even_variant(A, 5000, 2)
+    dl.far_region_integral(A, 0.1, 5000, 3, include_rhat_delta=1)
+    dl.three_region_assembly(A, s, 5000, 4)
+    assert kernel_threads == {threading.current_thread().name}
+    assert len(draw_threads) > 1 and threading.current_thread().name in draw_threads
+
+
+def test_concurrent_multi_block_callers_keep_the_bits(monkeypatch):
+    # More callers than cores, each drawing windows on the shared pool with
+    # its own worker count (so the pool is rebuilt while in use), under a
+    # short switch interval: every estimate keeps the bits of a lone call.
+    monkeypatch.setattr(fr, "MC_BLOCK", 1000)
+    A = dl.sample_bernoulli(3, 40, 0.5, 2)
+    s = dl.build_pmf(1)
+    expected = [dl.prob_fourier_mc(A, s, [1, 0, -1], 5500, seed) for seed in range(3)]
+    monkeypatch.setattr(fr, "_worker_count",
+                        lambda: 2 + int(threading.current_thread().name[-1]) % 3)
+    results = {}
+
+    def caller(c):
+        for seed in range(3):
+            results[c, seed] = dl.prob_fourier_mc(A, s, [1, 0, -1], 5500, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(c,), name=f"caller-{c}")
+                   for c in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {(c, seed): expected[seed] for c in range(5) for seed in range(3)}
+
+
+class _Tracked:
+    """Counts the calls running at once; the first call on a pool thread
+    raises at once if asked, while the others on the pool sleep first."""
+
+    def __init__(self, raise_on_pool: bool):
+        self.lock = threading.Lock()
+        self.running = 0
+        self.raise_on_pool = raise_on_pool
+        self.caller = threading.current_thread().name
+
+    def __enter__(self):
+        on_pool = threading.current_thread().name != self.caller
+        with self.lock:
+            self.running += 1
+            raising = on_pool and self.raise_on_pool
+            self.raise_on_pool &= not raising
+        if raising:
+            self.__exit__()
+            raise RuntimeError("pool task failed")
+        if on_pool:
+            time.sleep(0.05)
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.running -= 1
+
+
+def test_a_failing_window_leaves_no_task_running(monkeypatch):
+    monkeypatch.setattr(fr, "MC_BLOCK", 1000)
+    monkeypatch.setattr(fr, "_worker_count", lambda: 3)
+    A = dl.sample_bernoulli(3, 40, 0.5, 1)
+
+    # A draw on the pool fails while the other pool draw still sleeps.
+    class Region(fr.Region):
+        def sample(self, rng, k, out=None):
+            with tracked:
+                return super().sample(rng, k, out)
+
+    tracked = _Tracked(raise_on_pool=True)
+    with pytest.raises(RuntimeError, match="pool task failed"):
+        dl.integrate_mc(lambda p: p[:, 0], Region(fr.RegionKind.FULL_CUBE, 3), 5000, 1)
+    assert tracked.running == 0
+
+    # The integrand raises on the calling thread in the second window,
+    # after that window's draws.
+    tracked = _Tracked(raise_on_pool=False)
+    windows = []
+
+    def failing(p):
+        windows.append(len(p))
+        if len(windows) == 2:
+            raise ValueError("integrand failed")
+        return p[:, 0]
+
+    with pytest.raises(ValueError, match="integrand failed"):
+        dl.integrate_mc(failing, Region(fr.RegionKind.FULL_CUBE, 3), 5000, 1)
+    assert windows == [3000, 2000] and tracked.running == 0
+
+    # The integrand's own row split fails in its first pool slice while
+    # later pool slices still sleep.
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(fr, "KERNEL_CHUNK", 4099)
+    tracked = _Tracked(raise_on_pool=True)
+
+    def combine(d, cos_t):
+        with tracked:
+            return d
+
+    with pytest.raises(RuntimeError, match="pool task failed"):
+        dl.integrate_mc(lambda p: fr.dhat_batch(A, p, combine), fr.Region.full_cube(3), 5000, 1)
+    assert tracked.running == 0

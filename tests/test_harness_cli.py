@@ -275,8 +275,9 @@ def test_cli_oversized_config_is_usage_error(capsys):
 
 
 def test_console_script_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "disclab.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert "disclab" in proc.stdout
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,28 @@ def test_prob_exact_refuses_large_n():
     A = dl.sample_bernoulli(2, 25, 0.5, 0)
     with pytest.raises(ValueError):
         dl.prob_exact(A, S1, [0, 0])
+
+
+def test_distribution_exact_refuses_a_law_too_large_for_memory():
+    # m=10, n=16: 64 928 values of A x times 3 smoother values per row bound
+    # the law at 3.8e9 entries; the dict once took the process out of 7.5 GB.
+    # Under a 384 MB address-space cap on the child only, the call must be
+    # refused at once. One BLAS thread keeps the cap independent of the core
+    # count.
+    resource = pytest.importorskip("resource")
+    limit = 384 * 2 ** 20
+    code = ("import disclab as dl\n"
+            "try:\n"
+            "    dl.distribution_exact(dl.sample_bernoulli(10, 16, 0.5, 12), dl.build_pmf(1))\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refusing the exact law with up to 3833933472 entries > 2^20\n"
 
 
 def test_prob_exact_denominator_structure():
