@@ -9,7 +9,6 @@ numeric fields, and trials run in one loop in trial order.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -133,19 +132,13 @@ class TheoremExperimentReport:
             "flips_per_s": round(flips / self.runtime_s) if self.runtime_s > 0 else None,
         }
 
-    def write_csv(self, path: Union[str, Path, io.TextIOBase]) -> None:
+    def write_csv(self, path: Union[str, Path]) -> None:
         """UTF-8, LF line endings, one row per trial under the fixed header."""
-        if isinstance(path, io.TextIOBase):
-            self._write_csv_stream(path)
-            return
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            self._write_csv_stream(fh)
-
-    def _write_csv_stream(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(row.as_csv())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            for row in self.rows:
+                writer.writerow(row.as_csv())
 
 
 def _run_one_trial(cfg: ExperimentConfig, m: int, n: int, trial: int):

@@ -220,6 +220,9 @@ class IncidenceMatrix:
     def from_dict(cls, d: dict) -> "IncidenceMatrix":
         if not isinstance(d, dict):
             raise ValueError(f"instance must be a JSON object, not {type(d).__name__}")
+        for name in ("m", "n", "rows"):
+            if name not in d:
+                raise ValueError(f"instance field {name!r} is missing")
         m, n = _int_field(d, "m"), _int_field(d, "n")
         rows = d["rows"]
         if not isinstance(rows, list) or not all(isinstance(h, str) for h in rows):

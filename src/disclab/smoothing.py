@@ -49,6 +49,8 @@ class SmoothingSpec:
 
     numerators[k + delta] / 4**delta is the probability of value k,
     for k in [-delta, delta]. The table is symmetric and sums to one.
+    `pmf` reads it as Fractions; `row_laws` hands the integers themselves
+    to the exact law of X.
     """
 
     delta: int
@@ -72,10 +74,14 @@ class SmoothingSpec:
             Fraction(0),
         )
 
-    def row_pmfs(self, m: int) -> List[Dict[int, Fraction]]:
-        """Per-coordinate laws of the m-dimensional smoother (iid rows)."""
-        table = self.pmf_table()
-        return [table] * m
+    def row_laws(self, m: int) -> Tuple[List[Dict[int, int]], int]:
+        """The m iid row laws as integer numerators, and their joint denominator.
+
+        Every row is {k: numerators[k + delta]} over 4**delta, without its
+        zero entries, so the joint denominator is 4**(m delta).
+        """
+        row = {k - self.delta: v for k, v in enumerate(self.numerators) if v}
+        return [row] * m, self.denominator ** m
 
 
 def build_pmf(delta: int) -> SmoothingSpec:
@@ -117,13 +123,16 @@ class ParitySmoother:
         odd = tuple(int(i) for i in np.flatnonzero(A.row_sums % 2 == 1))
         return cls(m=A.m, odd_rows=odd)
 
-    def row_pmfs(self, m: int) -> List[Dict[int, Fraction]]:
+    def row_laws(self, m: int) -> Tuple[List[Dict[int, int]], int]:
+        """The row laws as integer numerators, and their joint denominator.
+
+        An odd row is {-1: 1, 1: 1} over 2 and an even row {0: 1} over 1,
+        so the joint denominator is 2 to the number of odd rows.
+        """
         if m != self.m:
             raise ValueError(f"smoother built for m={self.m}, asked for m={m}")
         odd = set(self.odd_rows)
-        even_table = {0: Fraction(1)}
-        odd_table = {-1: Fraction(1, 2), 1: Fraction(1, 2)}
-        return [odd_table if i in odd else even_table for i in range(m)]
+        return [{-1: 1, 1: 1} if i in odd else {0: 1} for i in range(m)], 2 ** len(odd)
 
 
 # -- transforms ----------------------------------------------------------------

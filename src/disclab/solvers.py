@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "SearchResult",
     "exhaustive_min_disc",
     "count_colorings_within",
-    "coloring_disc_counts",
     "random_search",
     "local_search",
     "counting_bound",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_N = 30
-_CHUNK = 1 << 14
 _GRAY_LOW_BITS = 12  # free columns in the enumeration's table of low sums
 _DRAW_BITS = 13
 _DRAW_BLOCK = 1 << _DRAW_BITS  # flips per draw of the random walk; part of its per-seed trajectory
@@ -138,16 +136,6 @@ def count_colorings_within(A: IncidenceMatrix, delta: int) -> int:
     for _, disc in _gray_disc_chunks(A):
         half_count += int(np.count_nonzero(disc <= delta))
     return 2 * half_count  # x and -x have equal discrepancy
-
-
-def coloring_disc_counts(A: IncidenceMatrix) -> Dict[Tuple[int, ...], int]:
-    """Counts of each signed-discrepancy vector over all 2^n colorings."""
-    states, counts = _disc_law(A)
-    law: Dict[Tuple[int, ...], int] = {}
-    for lo in range(0, len(counts), _CHUNK):  # bounds the per-coordinate lists
-        coords = states[lo:lo + _CHUNK].T.tolist()
-        law.update(zip(zip(*coords), counts[lo:lo + _CHUNK].tolist()))
-    return law
 
 
 def _disc_law(A: IncidenceMatrix) -> Tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,8 @@ from . import inversion as iv
 from . import smoothing as sm
 from . import solvers as sv
 from .rng import child_seed, stream
-from .setsystem import IncidenceMatrix, covariance_empirical, sample_bernoulli
+from .setsystem import (IncidenceMatrix, covariance_empirical, covariance_expected,
+                        sample_bernoulli)
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "SUITE_NAMES"]
 
@@ -365,9 +366,7 @@ def suite_fourier(seed: int = 42) -> SuiteReport:
     for m in range(1, 9):
         for p in (0.1, 0.3, 0.5):
             n = 100
-            expected = np.full((m, m), n * p * p)
-            np.fill_diagonal(expected, n * p)
-            top = float(np.linalg.eigvalsh(expected).max())
+            top = float(np.linalg.eigvalsh(covariance_expected(m, n, p)).max())
             worst_exp = min(worst_exp, 0.5 * n * m - top)
     worst = _Worst()
     for k in range(200):

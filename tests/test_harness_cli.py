@@ -172,6 +172,19 @@ def test_cli_invert_exact_at_n24(tmp_path, capsys):
     assert json.loads(out)["exact"] == str(dl.prob_exact(A, dl.build_pmf(1), [0, 0, 0]))
 
 
+def test_cli_invert_exact_refuses_before_the_mc(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(iv, "prob_fourier_mc", lambda *args, **kwargs: calls.append(args))
+    inst = tmp_path / "inst.json"
+    dl.sample_bernoulli(4, 25, 0.5, 1).save(inst)
+    code = main(["invert", "--in", str(inst), "--lambda", "0,0,0,0", "--exact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "refusing the exact law for n=25" in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_cli_fourier_eval(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     IncidenceMatrix([[1, 0], [0, 1]]).save(inst)
@@ -345,6 +358,9 @@ _GOOD = IncidenceMatrix([[1, 0, 1], [0, 1, 1]]).to_dict()
     (dict(_GOOD, p=[1]), "field 'p' must be a number, not [1]"),
     (dict(_GOOD, p="0.5"), "field 'p' must be a number, not \"0.5\""),
     (dict(_GOOD, p=True), "field 'p' must be a number, not true"),
+    ({"n": 2, "rows": ["c"]}, "field 'm' is missing"),
+    ({"m": 1, "rows": ["c"]}, "field 'n' is missing"),
+    ({"m": 1, "n": 2}, "field 'rows' is missing"),
 ])
 @pytest.mark.parametrize("command", [
     ["invert", "--samples", "100"],

@@ -29,6 +29,31 @@ def test_pmf_is_shifted_binomial(delta):
     assert spec.pmf(delta + 1) == 0
 
 
+@pytest.mark.parametrize("delta", range(9))
+def test_row_laws_equal_the_pmf(delta):
+    spec = dl.build_pmf(delta)
+    for m in (1, 3):
+        rows, denominator = spec.row_laws(m)
+        assert denominator == 4 ** (m * delta)
+        assert rows == [{k: spec.pmf(k) * 4 ** delta for k in range(-delta, delta + 1)}] * m
+
+
+@pytest.mark.parametrize("odd_rows", [(), (1,), (0, 2)])
+def test_parity_row_laws_equal_its_law(odd_rows):
+    rows, denominator = ParitySmoother(m=3, odd_rows=odd_rows).row_laws(3)
+    assert denominator == 2 ** len(odd_rows)
+    for i, row in enumerate(rows):
+        law = {-1: Fraction(1, 2), 1: Fraction(1, 2)} if i in odd_rows else {0: Fraction(1)}
+        assert {r: Fraction(v, 2 if i in odd_rows else 1) for r, v in row.items()} == law
+    with pytest.raises(ValueError):
+        ParitySmoother(m=3, odd_rows=odd_rows).row_laws(2)
+
+
+def test_row_laws_drop_zero_numerators():
+    rows, denominator = dl.SmoothingSpec(1, (0, 4, 0)).row_laws(2)
+    assert rows == [{0: 4}, {0: 4}] and denominator == 16
+
+
 def test_sampling_matches_pmf():
     rng = stream(77)
     draws = dl.smoothing.sample(dl.build_pmf(0), rng, size=1000)
@@ -118,9 +143,9 @@ def test_parity_smoother_from_matrix():
     A = IncidenceMatrix([[1, 1, 0], [1, 0, 0], [1, 1, 1]])
     sm = ParitySmoother.from_matrix(A)
     assert sm.odd_rows == (1, 2)
-    tables = sm.row_pmfs(3)
-    assert tables[0] == {0: Fraction(1)}
-    assert tables[1] == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
+    rows, denominator = sm.row_laws(3)
+    assert rows == [{0: 1}, {-1: 1, 1: 1}, {-1: 1, 1: 1}]
+    assert denominator == 4
 
 
 def test_parity_rhat_examples():

@@ -123,6 +123,14 @@ def brute_disc_counts(A):
     return Counter(map(tuple, (signs @ A.bits.T.astype(int)).tolist()))
 
 
+def disc_law_counts(A):
+    """The type DP's law of A x as {value: count}, checking its arrays' form."""
+    states, counts = sv._disc_law(A)
+    assert states.dtype == np.int8 and counts.dtype == np.int64
+    assert len(np.unique(states, axis=0)) == len(states) == len(counts)
+    return dict(zip(map(tuple, states.tolist()), counts.tolist()))
+
+
 @pytest.mark.parametrize("bits", [
     [[0, 0, 0]],
     np.zeros((4, 6), dtype=int),
@@ -135,7 +143,7 @@ def brute_disc_counts(A):
 ])
 def test_coloring_disc_counts_matches_brute_force_on_shapes(bits):
     A = IncidenceMatrix(bits)
-    assert sv.coloring_disc_counts(A) == brute_disc_counts(A)
+    assert disc_law_counts(A) == brute_disc_counts(A)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,15 +151,7 @@ def test_coloring_disc_counts_matches_brute_force_on_shapes(bits):
        seed=st.integers(0, 2 ** 62))
 def test_coloring_disc_counts_matches_brute_force(m, n, p, seed):
     A = dl.sample_bernoulli(m, n, p, seed)
-    assert sv.coloring_disc_counts(A) == brute_disc_counts(A)
-
-
-def test_coloring_disc_counts_independent_of_chunk(monkeypatch):
-    A = dl.sample_bernoulli(4, 12, 0.5, 3)
-    expected = brute_disc_counts(A)
-    assert len(expected) > 5
-    monkeypatch.setattr(sv, "_CHUNK", 5)
-    assert sv.coloring_disc_counts(A) == expected
+    assert disc_law_counts(A) == brute_disc_counts(A)
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,7 +159,7 @@ def test_coloring_disc_counts_independent_of_chunk(monkeypatch):
        seed=st.integers(0, 2 ** 62))
 def test_coloring_disc_counts_agrees_with_gray_enumeration(m, n, p, seed):
     A = dl.sample_bernoulli(m, n, p, seed)
-    counts = sv.coloring_disc_counts(A)
+    counts = disc_law_counts(A)
     disc = {vec: max(abs(v) for v in vec) for vec in counts}
     assert min(disc.values()) == dl.exhaustive_min_disc(A)[0]
     for delta in range(3):
@@ -169,7 +169,7 @@ def test_coloring_disc_counts_agrees_with_gray_enumeration(m, n, p, seed):
 
 def test_coloring_disc_counts_total():
     A = dl.sample_bernoulli(3, 9, 0.5, 7)
-    counts = sv.coloring_disc_counts(A)
+    counts = disc_law_counts(A)
     assert sum(counts.values()) == 2 ** 9
     # negation symmetry of the count table
     for vec, c in counts.items():
