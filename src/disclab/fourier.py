@@ -64,8 +64,8 @@ from .smoothing import (
     ParitySmoother,
     SmoothingSpec,
     _half_integral_shifts,
-    _parity_rhat_of_cos,
-    _rhat_md_of_cos,
+    _sum_rows,
+    build_pmf,
     rhat_md,
 )
 
@@ -332,31 +332,6 @@ def _angle_plan(m: int, types: int, bits: bytes, odd: bytes) -> tuple:
             np.array([row[k] for k in keys], dtype=np.intp),
             np.array([row[k] for k, o in zip(keys, flags) if o and k], dtype=np.intp),
             einsum)
-
-
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (n, k) array, bit for bit x.T.sum(axis=1) on a
-    C-contiguous copy, which sums each of its rows pairwise: in turn below
-    8 values, in 8 interleaved accumulators up to 128, and above that as
-    the sum of two halves cut at a multiple of 8. This replays that order
-    over whole rows, with no transposed copy, and overwrites x."""
-    n = x.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _sum_rows(x[:half]) + _sum_rows(x[half:])
-    if n < 8:
-        out = np.zeros(x.shape[1])
-        for r in x:
-            out += r
-        return out
-    acc, whole = x[:8], n - n % 8
-    for i in range(8, whole, 8):
-        acc += x[i:i + 8]
-    pairs = np.add(acc[0::2], acc[1::2], out=acc[0::2])
-    out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    for r in x[whole:]:
-        out += r
-    return out
 
 
 Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
@@ -674,27 +649,13 @@ def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
     return float(_exp_clamped(la)[0])
 
 
-Smoother = Union[SmoothingSpec, ParitySmoother]
+def xhat_batch(A: IncidenceMatrix, smoothing: SmoothingSpec | ParitySmoother, thetas) -> np.ndarray:
+    """xhat at a batch of theta rows: dhat times the smoother's rhat_of_cos,
+    in one row split."""
+    return dhat_batch(A, thetas, lambda d, cos_t: d * smoothing.rhat_of_cos(cos_t))
 
 
-def _rhat_of_cos(smoothing: Smoother, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The smoother's transform as a function of (k, m) coordinate cosines."""
-    if isinstance(smoothing, SmoothingSpec):
-        return lambda cos_t: _rhat_md_of_cos(smoothing.delta, cos_t)
-    if isinstance(smoothing, ParitySmoother):
-        if smoothing.m != m:
-            raise ValueError("theta dimension does not match the smoother")
-        return lambda cos_t: _parity_rhat_of_cos(smoothing, cos_t)
-    raise TypeError(f"unsupported smoother {type(smoothing)!r}")
-
-
-def xhat_batch(A: IncidenceMatrix, smoothing: Smoother, thetas) -> np.ndarray:
-    """xhat at a batch of theta rows: dhat times rhat, in one row split."""
-    rhat = _rhat_of_cos(smoothing, A.m)
-    return dhat_batch(A, thetas, lambda d, cos_t: d * rhat(cos_t))
-
-
-def xhat(A: IncidenceMatrix, smoothing: Smoother, theta) -> float:
+def xhat(A: IncidenceMatrix, smoothing: SmoothingSpec | ParitySmoother, theta) -> float:
     """Transform of the smoothed discrepancy X = D + R: dhat times rhat."""
     return float(xhat_batch(A, smoothing, _theta_array(theta)[None, :])[0])
 
@@ -1039,9 +1000,7 @@ def far_region_integral(
     lse_max = -math.inf
     lse_sum = 0.0
 
-    def add_log_rhat(la: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return la + include_rhat_delta * _sum_rows(np.log(0.5 + 0.5 * cos_t.T))
+    log_rhat = None if include_rhat_delta is None else build_pmf(include_rhat_delta).log_rhat_of_cos
 
     def abs_integrand(pts: np.ndarray) -> np.ndarray:
         nonlocal lse_max, lse_sum
@@ -1049,8 +1008,8 @@ def far_region_integral(
         if not far.any():
             return np.zeros(len(pts))
         everywhere = far.all()  # at m = 10, every block: no copy of its points
-        la = dhat_log_abs_batch(A, pts if everywhere else pts[far],
-                                None if include_rhat_delta is None else add_log_rhat)
+        la = dhat_log_abs_batch(A, pts if everywhere else pts[far], None if log_rhat is None
+                                else lambda la, cos_t: la + log_rhat(cos_t))
         # The log-sum-exp advances one MC block at a time, in block order,
         # whichever window holds the block.
         cuts = np.searchsorted(np.flatnonzero(far), range(MC_BLOCK, len(pts), MC_BLOCK))

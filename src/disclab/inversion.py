@@ -33,7 +33,7 @@ from .fourier import (
 )
 from .rng import child_seed
 from .setsystem import IncidenceMatrix
-from .smoothing import ParitySmoother, SmoothingSpec, _row_product
+from .smoothing import ParitySmoother, SmoothingSpec
 from .solvers import _disc_law
 
 __all__ = [
@@ -262,7 +262,7 @@ def three_region_assembly(
 
     The near-lattice piece uses the half-integral periodicity of |dhat|:
     summing |xhat(theta + s)| over all nonzero shifts s collapses to
-    |dhat(theta)| times an exactly computed transform factor, so one ball
+    |dhat(theta)| times the smoother's closed-form `shell_sum_of_cos`, so one ball
     sampler covers all 3^m - 1 shells at once. Those shifts count each
     shell of the torus once per sign of each +-1/2 coordinate, so `near`
     is about twice the torus value and the spike check against it is
@@ -274,7 +274,6 @@ def three_region_assembly(
     radius = 1.0 / (16.0 * math.sqrt(t))
     if radius > 0.5:
         raise ValueError("central radius exceeds the cube; t is too small")
-    delta = smoothing.delta
 
     central = integrate_mc(
         lambda pts: xhat_batch(A, smoothing, pts),
@@ -283,24 +282,16 @@ def three_region_assembly(
         child_seed(seed, 0),
     )
 
-    def near_shells(la: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-        # |dhat| times the sum over nonzero shifts s of rhat(theta + s), via
-        # the factorized per-coordinate identity; the two half-integer
-        # shifts coincide.
-        half_cos = 0.5 * cos_t
-        g0 = (0.5 + half_cos) ** delta
-        gh = (0.5 - half_cos) ** delta
-        return _exp_clamped(la) * (_row_product(g0 + 2.0 * gh) - _row_product(g0))
-
-    near = integrate_mc(
-        lambda pts: dhat_log_abs_batch(A, pts, near_shells),
+    near = integrate_mc(  # |dhat| times the sum over nonzero shifts s of rhat(theta + s)
+        lambda pts: dhat_log_abs_batch(
+            A, pts, lambda la, cos_t: _exp_clamped(la) * smoothing.shell_sum_of_cos(cos_t)),
         Region.origin_ball(A.m, radius),
         samples,
         child_seed(seed, 1),
     )
 
     far = far_region_integral(
-        A, radius, samples, child_seed(seed, 2), include_rhat_delta=delta
+        A, radius, samples, child_seed(seed, 2), include_rhat_delta=smoothing.delta
     )
 
     witness_radius = min(1.0 / (math.pi * math.sqrt(A.n)), 0.5)

@@ -1,18 +1,20 @@
 """The additive smoothing distribution and its Fourier transform.
 
 A width-Delta smoother is the sum of Delta independent steps in
-{-1, 0, +1} taken with probabilities (1/4, 1/2, 1/4). Its probability
-mass function is kept in exact rational arithmetic (integer numerators
-over 4**Delta); the transform and the decay bounds are evaluated in
-double precision. A second variant adds a fair +-1 only on the rows of an
+{-1, 0, +1} taken with probabilities (1/4, 1/2, 1/4); it is its Delta
+alone, from which its exact law (integer numerators over 4**Delta) is
+derived. A second variant adds a fair +-1 only on the rows of an
 incidence matrix whose set size is odd, which forces the smoothed
-discrepancy vector onto the even lattice.
+discrepancy vector onto the even lattice; it checks its rows. Each class
+alone defines its law (`row_laws`) and, in double precision over the
+coordinate cosines cos(2 pi theta_i), every transform factor the
+integrands use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -45,16 +47,26 @@ RHO_GRID_STEP = 1e-4
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Exact law of the width-delta smoother.
+    """The width-delta smoother, defined by delta, a nonnegative integer.
 
-    numerators[k + delta] / 4**delta is the probability of value k,
-    for k in [-delta, delta]. The table is symmetric and sums to one.
-    `pmf` reads it as Fractions; `row_laws` hands the integers themselves
-    to the exact law of X.
+    numerators[k + delta] / 4**delta is the probability of value k, for k
+    in [-delta, delta]: the delta-fold convolution of (1, 2, 1), derived
+    on construction. The table is symmetric, sums to 4**delta and has no
+    zero entry. `pmf` reads it as Fractions; `row_laws` hands the integers
+    themselves to the exact law of X.
     """
 
     delta: int
-    numerators: Tuple[int, ...]
+    numerators: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        if self.delta < 0 or self.delta != int(self.delta):
+            raise ValueError("delta must be a nonnegative integer")
+        object.__setattr__(self, "delta", int(self.delta))
+        nums = [1]
+        for _ in range(self.delta):  # convolve with (1, 2, 1)
+            nums = [a + 2 * b + c for a, b, c in zip(nums + [0, 0], [0, *nums, 0], [0, 0, *nums])]
+        object.__setattr__(self, "numerators", tuple(nums))
 
     @property
     def denominator(self) -> int:
@@ -77,26 +89,38 @@ class SmoothingSpec:
     def row_laws(self, m: int) -> Tuple[List[Dict[int, int]], int]:
         """The m iid row laws as integer numerators, and their joint denominator.
 
-        Every row is {k: numerators[k + delta]} over 4**delta, without its
-        zero entries, so the joint denominator is 4**(m delta).
+        Every row is {k: numerators[k + delta]} over 4**delta, so the joint
+        denominator is 4**(m delta).
         """
-        row = {k - self.delta: v for k, v in enumerate(self.numerators) if v}
+        row = {k - self.delta: v for k, v in enumerate(self.numerators)}
         return [row] * m, self.denominator ** m
+
+    def rhat_of_cos(self, cos_t: np.ndarray) -> np.ndarray:
+        """The transform prod_i (1/2 + cos_t_i / 2)^delta along the last axis,
+        from the coordinate cosines cos_t_i = cos(2 pi theta_i)."""
+        base = 0.5 + 0.5 * cos_t
+        return _row_product(base if self.delta == 1 else base ** self.delta)
+
+    def shell_sum_of_cos(self, cos_t: np.ndarray) -> np.ndarray:
+        """Sum of the transform at theta + s over the 3^m - 1 nonzero shifts s
+        in {-1/2, 0, 1/2}^m, from the (k, m) coordinate cosines: per
+        coordinate, shift 0 gives g0 = (1/2 + cos/2)^delta and each half
+        shift gh = (1/2 - cos/2)^delta, so it is prod(g0 + 2 gh) - prod(g0)."""
+        half_cos = 0.5 * cos_t
+        g0 = (0.5 + half_cos) ** self.delta
+        gh = (0.5 - half_cos) ** self.delta
+        return _row_product(g0 + 2.0 * gh) - _row_product(g0)
+
+    def log_rhat_of_cos(self, cos_t: np.ndarray) -> np.ndarray:
+        """log of the transform, delta sum_i log(1/2 + cos_t_i / 2), from the
+        (k, m) coordinate cosines; -inf where a factor is zero."""
+        with np.errstate(divide="ignore"):
+            return self.delta * _sum_rows(np.log(0.5 + 0.5 * cos_t.T))
 
 
 def build_pmf(delta: int) -> SmoothingSpec:
-    """Exact delta-fold convolution of (1/4, 1/2, 1/4) on (-1, 0, 1)."""
-    if delta < 0 or delta != int(delta):
-        raise ValueError("delta must be a nonnegative integer")
-    nums = [1]
-    for _ in range(int(delta)):
-        prev = nums
-        nums = [0] * (len(prev) + 2)
-        for i, v in enumerate(prev):
-            nums[i] += v
-            nums[i + 1] += 2 * v
-            nums[i + 2] += v
-    return SmoothingSpec(int(delta), tuple(nums))
+    """The width-delta smoother, SmoothingSpec(delta)."""
+    return SmoothingSpec(delta)
 
 
 def sample(spec: SmoothingSpec, rng: np.random.Generator, size: Optional[int] = None):
@@ -113,10 +137,15 @@ def sample(spec: SmoothingSpec, rng: np.random.Generator, size: Optional[int] = 
 
 @dataclass(frozen=True)
 class ParitySmoother:
-    """Adds a fair +-1 on odd-size rows only, zero elsewhere."""
+    """Adds a fair +-1 on odd_rows only (increasing rows of 0..m-1), zero elsewhere."""
 
     m: int
     odd_rows: Tuple[int, ...]
+
+    def __post_init__(self):
+        bounds = (-1, *self.odd_rows, self.m)
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"odd_rows {self.odd_rows} are not increasing rows of 0..{self.m - 1}")
 
     @classmethod
     def from_matrix(cls, A: IncidenceMatrix) -> "ParitySmoother":
@@ -134,15 +163,15 @@ class ParitySmoother:
         odd = set(self.odd_rows)
         return [{-1: 1, 1: 1} if i in odd else {0: 1} for i in range(m)], 2 ** len(odd)
 
+    def rhat_of_cos(self, cos_t: np.ndarray) -> np.ndarray:
+        """The transform prod_{i odd} cos_t_i along the last axis, from the
+        coordinate cosines cos_t_i = cos(2 pi theta_i)."""
+        if cos_t.shape[-1] != self.m:
+            raise ValueError("theta dimension does not match the smoother")
+        return _row_product(cos_t[..., list(self.odd_rows)])
+
 
 # -- transforms ----------------------------------------------------------------
-
-
-def rhat_1d(delta: int, theta):
-    """Transform of the 1-d smoother: (1/2 + cos(2 pi theta)/2) ** delta."""
-    base = 0.5 + 0.5 * np.cos(2.0 * np.pi * np.asarray(theta, dtype=np.float64))
-    out = base ** delta
-    return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
 def _row_product(factors: np.ndarray) -> np.ndarray:
@@ -160,31 +189,47 @@ def _row_product(factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (n, k) array, bit for bit x.T.sum(axis=1) on a
+    C-contiguous copy, which sums each of its rows pairwise: in turn below
+    8 values, in 8 interleaved accumulators up to 128, and above that as
+    the sum of two halves cut at a multiple of 8. This replays that order
+    over whole rows, with no transposed copy, and overwrites x."""
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_rows(x[:half]) + _sum_rows(x[half:])
+    if n < 8:
+        out = np.zeros(x.shape[1])
+        for r in x:
+            out += r
+        return out
+    acc, whole = x[:8], n - n % 8
+    for i in range(8, whole, 8):
+        acc += x[i:i + 8]
+    pairs = np.add(acc[0::2], acc[1::2], out=acc[0::2])
+    out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for r in x[whole:]:
+        out += r
+    return out
+
+
+def rhat_1d(delta: int, theta):
+    """Transform of the 1-d smoother: (1/2 + cos(2 pi theta)/2) ** delta."""
+    return rhat_md(delta, np.asarray(theta, dtype=np.float64)[..., None])
+
+
 def rhat_md(delta: int, theta) -> np.ndarray:
     """Product of 1-d transforms along the last axis (batch friendly)."""
     arr = np.asarray(theta, dtype=np.float64)
-    out = _rhat_md_of_cos(delta, np.cos(2.0 * np.pi * arr))
+    out = SmoothingSpec(delta).rhat_of_cos(np.cos(2.0 * np.pi * arr))
     return float(out) if out.ndim == 0 else out
-
-
-def _rhat_md_of_cos(delta: int, cos_t: np.ndarray) -> np.ndarray:
-    """rhat_md from the coordinate cosines cos(2 pi theta_i), bit for bit."""
-    base = 0.5 + 0.5 * cos_t
-    return _row_product(base if delta == 1 else base ** delta)
 
 
 def parity_rhat(smoother: ParitySmoother, theta) -> np.ndarray:
     """Transform of the parity smoother: product of cos(2 pi theta_i) on odd rows."""
-    arr = np.asarray(theta, dtype=np.float64)
-    if arr.shape[-1] != smoother.m:
-        raise ValueError("theta dimension does not match the smoother")
-    out = _parity_rhat_of_cos(smoother, np.cos(2.0 * np.pi * arr))
+    out = smoother.rhat_of_cos(np.cos(2.0 * np.pi * np.asarray(theta, dtype=np.float64)))
     return float(out) if out.ndim == 0 else out
-
-
-def _parity_rhat_of_cos(smoother: ParitySmoother, cos_t: np.ndarray) -> np.ndarray:
-    """parity_rhat from the coordinate cosines cos(2 pi theta_i), bit for bit."""
-    return _row_product(cos_t[..., list(smoother.odd_rows)])
 
 
 def rho(delta: int) -> float:

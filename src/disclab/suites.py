@@ -396,6 +396,7 @@ def suite_spike(seed: int = 42) -> SuiteReport:
     spikes, for the smoother alone on dense point sets and for full xhat
     on sampled instances; every shift sum is an exact enumeration."""
     rep = SuiteReport("spike", seed)
+    s1 = sm.build_pmf(1)
 
     for m in range(1, 9):
         rng = stream(seed, m)
@@ -409,11 +410,8 @@ def suite_spike(seed: int = 42) -> SuiteReport:
             center = sm.rhat_md(1, block)
             shifted = block[:, None, :] + shifts[None, :, :]
             tail = sm.rhat_md(1, shifted).sum(axis=1)
-            # cross-check the factorized shifted-sum identity the assembly
-            # shell estimator relies on: per coordinate the three shifts
-            # contribute g + 2(1 - g) = 2 - g
-            g0 = 0.5 + 0.5 * np.cos(2 * np.pi * block)
-            closed = np.prod(2.0 - g0, axis=1) - np.prod(g0, axis=1)
+            # cross-check the closed-form shell sum the assembly's near piece runs
+            closed = s1.shell_sum_of_cos(np.cos(2 * np.pi * block))
             enum_vs_closed = max(enum_vs_closed, float(np.abs(tail - closed).max()))
             margins = center - 2.0 * tail
             k = int(np.argmin(margins))
@@ -428,7 +426,6 @@ def suite_spike(seed: int = 42) -> SuiteReport:
 
     # Full xhat version on sampled instances.
     rng = stream(seed, 99)
-    s1 = sm.build_pmf(1)
     worst = _Worst()
     max_dev = 0.0
     for k in range(100):

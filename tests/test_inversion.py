@@ -192,6 +192,20 @@ def test_even_variant_random_instances():
         assert abs(exact - est.value) <= max(3 * est.stderr, 1e-3)
 
 
+def test_good_colorings_and_parity_are_width_one_rescaled():
+    # With o odd rows, at lambda = 0: Pr_parity[X = 0] = 2^m Pr_1[X = 0] and
+    # #{x : |Ax|_inf <= 1} = 2^(n + m + o) Pr_1[X = 0], exactly.
+    rng = stream(45)
+    for _ in range(24):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 21))
+        A = dl.sample_bernoulli(m, n, float(rng.uniform(0.2, 0.8)), int(rng.integers(2 ** 62)))
+        parity = ParitySmoother.from_matrix(A)
+        width_one = dl.prob_exact(A, S1, [0] * m)
+        assert dl.prob_exact(A, parity, [0] * m) == 2 ** m * width_one
+        good = dl.count_colorings_within(A, 1)
+        assert good == 2 ** (n + m + len(parity.odd_rows)) * width_one
+
+
 def test_parity_forces_even_support():
     A = IncidenceMatrix([[1, 1, 1], [1, 1, 0]])
     dist = dl.distribution_exact(A, ParitySmoother.from_matrix(A))
@@ -253,7 +267,7 @@ def test_prob_fourier_mc_adaptive_budget():
 
 def test_shell_sum_identity_matches_enumeration():
     # the assembly shell estimator collapses sum over nonzero shifts s of
-    # |xhat(theta+s)| to |dhat(theta)| times a factorized transform sum;
+    # |xhat(theta+s)| to |dhat(theta)| times the smoother's shell sum;
     # verify against direct enumeration of all 3^m - 1 shifts
     from disclab.smoothing import half_lattice_points
 
@@ -265,7 +279,5 @@ def test_shell_sum_identity_matches_enumeration():
         for _ in range(5):
             th = rng.uniform(-0.05, 0.05, size=3)
             brute = sum(abs(dl.xhat(A, spec, th + s)) for s in shifts)
-            g0 = (0.5 + 0.5 * np.cos(2 * np.pi * th)) ** delta
-            gh = (0.5 - 0.5 * np.cos(2 * np.pi * th)) ** delta
-            factored = abs(dl.dhat(A, th)) * (np.prod(g0 + 2 * gh) - np.prod(g0))
+            factored = abs(dl.dhat(A, th)) * spec.shell_sum_of_cos(np.cos(2 * np.pi * th))
             assert factored == pytest.approx(brute, rel=1e-10, abs=1e-13)

@@ -49,9 +49,40 @@ def test_parity_row_laws_equal_its_law(odd_rows):
         ParitySmoother(m=3, odd_rows=odd_rows).row_laws(2)
 
 
-def test_row_laws_drop_zero_numerators():
-    rows, denominator = dl.SmoothingSpec(1, (0, 4, 0)).row_laws(2)
-    assert rows == [{0: 4}, {0: 4}] and denominator == 16
+@pytest.mark.parametrize("delta", [-1, -2, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda d: dl.SmoothingSpec(d),
+    lambda d: dl.build_pmf(d),
+    lambda d: dl.rhat_1d(d, 0.3),
+    lambda d: dl.rhat_md(d, [0.3, 0.1]),
+    lambda d: dl.rho(d),
+    lambda d: dl.check_rhat_bounds(d, [0.01]),
+    lambda d: dl.far_region_integral(dl.sample_bernoulli(2, 40, 0.5, 1), 0.1, 100, 1,
+                                     include_rhat_delta=d),
+], ids=["SmoothingSpec", "build_pmf", "rhat_1d", "rhat_md", "rho", "check_rhat_bounds",
+        "far_region_integral"])
+def test_every_width_argument_checks_delta(call, delta):
+    # Once accepted: rhat_1d(-1, 0.3) gave 2.89, rho(-2) inf, and
+    # check_rhat_bounds(-1, .) a false upper-bound failure.
+    with pytest.raises(ValueError, match="delta must be a nonnegative integer"):
+        call(delta)
+
+
+def test_smoother_is_its_delta():
+    spec = dl.SmoothingSpec(2.0)
+    assert spec == dl.build_pmf(2) and type(spec.delta) is int
+    assert spec.numerators == (1, 4, 6, 4, 1)
+    with pytest.raises(TypeError):
+        dl.SmoothingSpec(2, (0, 4, 8, 4, 0))
+
+
+@pytest.mark.parametrize("m,odd_rows", [(4, (7,)), (1, (0, 0)), (3, (2, 1)), (3, (-1,))])
+def test_parity_smoother_checks_its_rows(m, odd_rows):
+    # Once accepted: (7,) at m = 4 made xhat raise IndexError while
+    # prob_exact returned 0; (0, 0) on [[1]] gave prob_exact 1/2 but
+    # prob_fourier_mc about 0.0025.
+    with pytest.raises(ValueError, match="odd_rows"):
+        ParitySmoother(m=m, odd_rows=odd_rows)
 
 
 def test_sampling_matches_pmf():
@@ -200,3 +231,20 @@ def test_rhat_column_product_matches_np_prod_bitwise():
             assert _bits(dl.parity_rhat(s, th)) == _bits(expected), (m, odd)
             one = dl.parity_rhat(s, th[5])
             assert type(one) is float and _bits(one) == _bits(expected[5]), (m, odd)
+
+
+@pytest.mark.parametrize("delta", range(4))
+def test_shell_sum_matches_enumeration(delta):
+    # Against the transform of the law itself, sum_k pmf(k) cos(2 pi k t)
+    # per coordinate, summed over every nonzero half-integral shift.
+    spec = dl.build_pmf(delta)
+    ks = np.arange(-delta, delta + 1)
+    weights = np.array([float(spec.pmf(int(k))) for k in ks])
+    rng = stream(62, delta)
+    for m in range(1, 7):
+        th = np.vstack([rng.uniform(-0.5, 0.5, (20, m)), rng.uniform(-0.05, 0.05, (20, m))])
+        shifted = th[:, None, :] + half_lattice_points(m)[None, :, :]
+        per_coord = np.cos(2 * np.pi * shifted[..., None] * ks) @ weights
+        enumerated = per_coord.prod(axis=-1).sum(axis=1)
+        closed = spec.shell_sum_of_cos(np.cos(2 * np.pi * th))
+        assert np.abs(closed - enumerated).max() <= 1e-12 * 3 ** m, (m, delta)
