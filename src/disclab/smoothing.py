@@ -60,7 +60,7 @@ class SmoothingSpec:
     numerators: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.delta < 0 or self.delta != int(self.delta):
+        if not (self.delta >= 0 and self.delta % 1 == 0):  # also false for inf and nan
             raise ValueError("delta must be a nonnegative integer")
         object.__setattr__(self, "delta", int(self.delta))
         nums = [1]

@@ -49,7 +49,7 @@ def test_parity_row_laws_equal_its_law(odd_rows):
         ParitySmoother(m=3, odd_rows=odd_rows).row_laws(2)
 
 
-@pytest.mark.parametrize("delta", [-1, -2, 1.5])
+@pytest.mark.parametrize("delta", [-1, -2, 1.5, math.inf, math.nan])
 @pytest.mark.parametrize("call", [
     lambda d: dl.SmoothingSpec(d),
     lambda d: dl.build_pmf(d),
