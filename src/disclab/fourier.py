@@ -206,6 +206,14 @@ class Region:
     m: int
     radius: Optional[float] = None
 
+    def __post_init__(self):
+        # Radii up to 1/2 keep the ball inside the fundamental cube (the
+        # torus-integral use); larger radii are allowed for the plain
+        # Euclidean comparator integrals, which are not periodized.
+        if self.kind is RegionKind.ORIGIN_BALL and not (
+                self.radius is not None and 0.0 < self.radius < math.inf):
+            raise ValueError("ball radius must be positive and finite")
+
     @classmethod
     def full_cube(cls, m: int) -> "Region":
         return cls(RegionKind.FULL_CUBE, m)
@@ -216,11 +224,6 @@ class Region:
 
     @classmethod
     def origin_ball(cls, m: int, radius: float) -> "Region":
-        # Radii up to 1/2 keep the ball inside the fundamental cube (the
-        # torus-integral use); larger radii are allowed for the plain
-        # Euclidean comparator integrals, which are not periodized.
-        if radius <= 0.0:
-            raise ValueError("ball radius must be positive")
         return cls(RegionKind.ORIGIN_BALL, m, radius=radius)
 
     def volume(self) -> float:
@@ -265,19 +268,29 @@ def _lattice_distance_sq(pts: np.ndarray) -> np.ndarray:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
-def _half_table(cos_h: np.ndarray, sin_h: np.ndarray, c: np.ndarray, s: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """cos and sin of 2 pi times every subset sum of h coordinates, written
-    into c and s, (2^h, k) each, from their (h, k) cos and sin by angle
-    addition; entry j is the subset of the set bits of j. scratch, at least
-    (2^(h-1), k), holds each level's products in turn."""
-    c[0], s[0] = 1.0, 0.0
-    for i, (ci, si) in enumerate(zip(cos_h, sin_h)):
-        old, new, tmp = slice(0, 1 << i), slice(1 << i, 2 << i), scratch[:1 << i]
-        np.multiply(c[old], ci, out=c[new])
-        c[new] -= np.multiply(s[old], si, out=tmp)
-        np.multiply(s[old], ci, out=s[new])
-        s[new] += np.multiply(c[old], si, out=tmp)
+def _half_tables(cos_t: np.ndarray, sin_t: np.ndarray, h: int, c: np.ndarray, s: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """cos and sin of 2 pi times every subset sum of each half of the m
+    coordinates, written into c and s, (2, 2^(m-h), k) each, from their
+    (m, k) cos and sin by angle addition: row j of half 0 is the subset of
+    the set bits of j among coordinates 0..h-1 (rows from 2^h on are left
+    unset), row j of half 1 among h..m-1. Each level of the addition covers
+    both halves in the same calls, and when m is odd a last level covers
+    half 1 alone. scratch, at least (2, 2^(m-h-1), k), holds each level's
+    products in turn."""
+    c[:, 0], s[:, 0] = 1.0, 0.0
+    for i in range(len(cos_t) - h):
+        both = i < h
+        halves = slice(0 if both else 1, 2)
+        coords = slice(i if both else h + i, h + i + 1, h)  # i and h + i, or h + i
+        ci, si = cos_t[coords, None], sin_t[coords, None]
+        old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+        c_old, s_old, c_new, s_new = c[halves, old], s[halves, old], c[halves, new], s[halves, new]
+        tmp = scratch[halves, :1 << i]
+        np.multiply(c_old, ci, out=c_new)
+        np.subtract(c_new, np.multiply(s_old, si, out=tmp), out=c_new)
+        np.multiply(s_old, ci, out=s_new)
+        np.add(s_new, np.multiply(c_old, si, out=tmp), out=s_new)
 
 
 def _runs(rows) -> Tuple[Tuple[int, int], ...]:
@@ -436,8 +449,8 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     n_odd, weights = int(odd.sum()), weights[order]
     step = max(1, TABLE_CHUNK // types)
     # Points per block of half tables: whole steps, and about 2 TABLE_CHUNK
-    # values for the four tables, 2 (2^h + 2^(m-h)) per point.
-    block = max(step, TABLE_CHUNK // ((1 << h) + (1 << (m - h))) // step * step)
+    # values for the stacked tables, 4 2^(m-h) per point.
+    block = max(step, TABLE_CHUNK // (2 << (m - h)) // step * step)
 
     def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
         k = thetas.shape[0]
@@ -449,31 +462,41 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         # Reused by every block: fresh arrays of this size cost page faults.
         flat = np.empty((3, types * min(k, step)))
         width = min(k, block)
-        ca, sa = np.empty((2, 1 << h, width))
-        cb, sb = np.empty((2, 1 << (m - h), width))
-        scratch = np.empty((1 << (m - h - 1), width))
-        for a in range(0, k, step):
-            part, points, b = slice(a, a + step), min(step, k - a), a % block
-            if not b:
-                tab, w = slice(a, a + block), min(block, k - a)
-                _half_table(cos_t[:h, tab], sin_t[:h, tab], ca[:, :w], sa[:, :w], scratch[:, :w])
-                _half_table(cos_t[h:, tab], sin_t[h:, tab], cb[:, :w], sb[:, :w], scratch[:, :w])
-            cols = slice(b, b + points)
+        tables = np.empty((2, 2, 1 << (m - h), width))
+        scratch = np.empty((2, 1 << (m - h - 1), width))
+        neg = np.empty((n_odd, width), dtype=bool)
+
+        def views(points: int) -> Tuple[np.ndarray, ...]:
+            # c, s and tmp, (types, points), and the weighted logs point-major
+            # in s's memory.
             c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
-            # c = CA[lo] CB[hi] - SA[lo] SB[hi]; mode="clip" spares take a
-            # defensive copy of out (every index is in range).
-            np.take(ca[:, cols], lo, axis=0, out=c, mode="clip")
-            c *= np.take(cb[:, cols], hi, axis=0, out=tmp, mode="clip")
-            np.take(sa[:, cols], lo, axis=0, out=s, mode="clip")
-            s *= np.take(sb[:, cols], hi, axis=0, out=tmp, mode="clip")
-            c -= s
-            if signed:
-                sign[part] = np.where(np.logical_xor.reduce(c[:n_odd] < 0.0, axis=0), -1.0, 1.0)
-            logs = flat[1, :types * points].reshape(points, types)  # s's memory
-            with np.errstate(divide="ignore"):
-                np.log(np.abs(c, out=c).T, out=logs)
-            logs *= weights
-            la[part] = logs.sum(axis=1)
+            return c, s, tmp, flat[1, :types * points].reshape(points, types)
+        size = min(k, step)
+        full = views(size)
+        with np.errstate(divide="ignore"):
+            for t in range(0, k, block):
+                w = min(block, k - t)
+                (ca, cb), (sa, sb) = tables[..., :w]
+                _half_tables(cos_t[:, t:t + w], sin_t[:, t:t + w], h, tables[0, ..., :w],
+                             tables[1, ..., :w], scratch[..., :w])
+                for b in range(0, w, step):
+                    points = min(step, w - b)
+                    c, s, tmp, logs = full if points == size else views(points)
+                    cols = slice(b, b + points)
+                    # c = CA[lo] CB[hi] - SA[lo] SB[hi]; mode="clip" spares
+                    # take a defensive copy of out (every index is in range).
+                    np.take(ca[:, cols], lo, axis=0, out=c, mode="clip")
+                    np.multiply(c, np.take(cb[:, cols], hi, axis=0, out=tmp, mode="clip"), out=c)
+                    np.take(sa[:, cols], lo, axis=0, out=s, mode="clip")
+                    np.multiply(s, np.take(sb[:, cols], hi, axis=0, out=tmp, mode="clip"), out=s)
+                    np.subtract(c, s, out=c)
+                    if signed:
+                        np.less(c[:n_odd], 0.0, out=neg[:, cols])
+                    np.log(np.abs(c, out=c).T, out=logs)
+                    np.multiply(logs, weights, out=logs)
+                    np.add.reduce(logs, axis=1, out=la[t + b:t + b + points])
+                if signed:
+                    sign[t:t + w] = np.where(np.logical_xor.reduce(neg[:, :w], axis=0), -1.0, 1.0)
         return la, sign, cos_t.T if coords else None
     return rows
 
@@ -751,10 +774,11 @@ def integrate_mc(
     """Unbiased Monte Carlo estimate of the integral of f over the region.
 
     f maps a (k, m) batch of points drawn uniformly from the region to (k,)
-    values; the estimate is the region's volume times their mean. Block b
-    draws at most MC_BLOCK points from the derived stream (seed, b), and
-    each block's moments are merged in block order, so the estimate
-    depends only on (seed, samples), never on scheduling.
+    values, one per point (any other shape raises ValueError); the
+    estimate is the region's volume times their mean. Block b draws at
+    most MC_BLOCK points from the derived stream (seed, b), and each
+    block's moments are merged in block order, so the estimate depends
+    only on (seed, samples), never on scheduling.
 
     The blocks are taken in windows of one per core (`_worker_count`):
     the calling thread and the kernel pool draw a window's blocks at once
@@ -765,8 +789,12 @@ def integrate_mc(
     volume) meets it, with `samples` as the hard cap; no window crosses
     one of these checkpoints, and the Estimate reports the samples spent.
     """
+    if not isinstance(samples, (int, np.integer)):
+        raise ValueError("samples must be an integer")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if stderr_target is not None and not stderr_target >= 0.0:  # NaN too
+        raise ValueError("stderr_target must be nonnegative")
     scale = region.volume()
     moments = RunningMoments()
     workers = 1 if getattr(_in_slice, "active", False) else _worker_count()
@@ -792,6 +820,8 @@ def integrate_mc(
             fut.result()
         size = min(samples, stop * MC_BLOCK) - start * MC_BLOCK
         vals = np.asarray(f(window[:size]), dtype=np.float64)
+        if vals.shape != (size,):
+            raise ValueError(f"integrand returned shape {vals.shape} for {size} points")
         for lo in range(0, size, MC_BLOCK):
             moments.add(vals[lo:lo + MC_BLOCK])
         start = stop
@@ -993,8 +1023,8 @@ def far_region_integral(
     """
     if A.meta.p is None:
         raise ValueError("far-region comparison needs the generation probability p")
-    if delta_param <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta_param < math.inf:  # NaN too
+        raise ValueError("delta must be positive and finite")
     p = A.meta.p
     delta_sq = delta_param ** 2
     lse_max = -math.inf
