@@ -16,9 +16,11 @@ distinct nonzero angle, building each type's angle from its prefix's,
 and from there on the factors of a point come from cos and sin tables of
 the subset sums of each half of its coordinates, built by angle addition
 from 2m libm calls instead of T, one cache-sized block of points at a
-time. TABLE_MIN_TYPES records the measured crossover; `_kernel` gives the
-accuracy of each path, its memory, and why no row depends on the batch
-that holds it. All integrals here are
+time; both halves' tables are stacked and built in the same calls, and
+the sign of a block's points is reduced once per block. TABLE_MIN_TYPES
+records the measured crossover; `_kernel` gives the accuracy of each
+path, its memory, and why no row depends on the batch that holds it.
+All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
 the one engine: a `Region` (cube, quarter cube or origin ball) draws
 points uniformly and gives its volume, and an integrand maps them to
@@ -39,6 +41,12 @@ rest in the same pass (the clamped exp, the smoother's transform in
 smoother log). Each row is computed the same way whichever thread
 computes it and whatever slice or window holds it, and block moments are
 merged in block order, so every estimate is the same at any core count.
+Threads scale less than cores because each numpy call takes the
+interpreter lock back: on 2 vCPUs (Xeon, numpy 2.4), `xhat_batch` on
+2^16 cube points at m = 8 and 10 (n = 533 and 922) ran 1.73-1.81 times
+as fast on two threads as on one on the angle-addition path and
+1.77-1.89 times on the libm path, while two processes each running it on
+one thread were at most 2.4% slower than one alone.
 Only the draws run on the pool, not whole blocks: bench/tracing.py starts
 and stops the process-wide `tracemalloc` around each kernel call
 (`dhat_batch`, `dhat_log_abs_batch`, `dhat_partial`), which has crashed
@@ -125,14 +133,17 @@ TABLE_MIN_TYPES = 128
 LIBM_CHUNK = 1 << 18
 
 # Points x column types per step of the angle-addition path: its three
-# (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. On that Xeon with two
-# threads, steps of 2^15 were 10-25% slower (more Python per value) and
-# 2^17 no faster. The path's four half tables are built per block of whole
-# steps holding about 2 TABLE_CHUNK values, 1 MB, so they stay in that
-# cache too (about 970 points at m = 10, 2020 at m = 8). With tables over
-# a whole row-split slice (4 MB per thread at m = 8), xhat_batch on cube
-# points took 1.28 (m = 8) and 1.15 (m = 10) times as long on one thread,
-# and the peak RSS of the m in {8, 10} benchmark workload was 7 MB higher.
+# (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. The path's stacked
+# half tables are built per block of whole steps holding about
+# 2 TABLE_CHUNK values, 1 MB, so they stay in that cache too (about 970
+# points at m = 10, 2020 at m = 8). On that Xeon with two threads, one
+# round of the m in {8, 10} benchmark workload took 284-286 ms with steps
+# of 2^15, 253-259 with 3 2^14, 243-244 with 2^16, 255-267 with 3 2^15 and
+# 276-283 with 2^17: smaller steps spend more Python per value, and the
+# three arrays of larger ones (2.25 MB at 3 2^15) outgrow that cache. With tables over a whole row-split slice
+# (4 MB per thread at m = 8), xhat_batch on cube points took 1.28 (m = 8)
+# and 1.15 (m = 10) times as long on one thread, and the peak RSS of that
+# workload was 7 MB higher.
 TABLE_CHUNK = 1 << 16
 
 # Row-split batches of fewer points x column types than this (about a
@@ -375,11 +386,18 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     per coordinate, and each type's factor is
     CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
     2m libm calls per point instead of T. The coordinates' cos and sin are
-    taken once per batch; the tables are built per block of points, into
-    buffers reused from block to block, and the per-type work runs in steps
-    of at most TABLE_CHUNK points x types. A block is a whole number of
-    steps whose four tables, 2 (2^h + 2^(m-h)) values per point, hold about
-    2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
+    taken once per batch. The tables are built per block of points, into
+    one stacked (2, 2^(m-h), block) buffer each for cos and sin, reused
+    from block to block, so that each level of the angle addition covers
+    both halves in the same numpy calls (`_half_tables`). The per-type
+    work runs in steps of at most TABLE_CHUNK points x types, each of at
+    most 12 numpy calls: four gathers, the products, the odd types'
+    negative flags written into an (odd types, block) buffer, and the
+    weighted log sum; the flags' parity becomes the sign once per block.
+    Few calls per step matter because each call takes the interpreter
+    lock back from the other threads of the row split. A block is a whole
+    number of steps whose stacked tables, 4 2^(m-h) values per point, hold
+    about 2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
     cache, and beyond the batch's O(m) values per point the working set
     does not grow with the batch. This path rounds differently from one
     cos per factor: near the origin log|dhat| stays within rel 1e-12 of
@@ -476,9 +494,9 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         with np.errstate(divide="ignore"):
             for t in range(0, k, block):
                 w = min(block, k - t)
-                (ca, cb), (sa, sb) = tables[..., :w]
-                _half_tables(cos_t[:, t:t + w], sin_t[:, t:t + w], h, tables[0, ..., :w],
-                             tables[1, ..., :w], scratch[..., :w])
+                c_tab, s_tab = tables[..., :w]
+                _half_tables(cos_t[:, t:t + w], sin_t[:, t:t + w], h, c_tab, s_tab, scratch[..., :w])
+                (ca, cb), (sa, sb) = c_tab, s_tab
                 for b in range(0, w, step):
                     points = min(step, w - b)
                     c, s, tmp, logs = full if points == size else views(points)

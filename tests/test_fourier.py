@@ -456,6 +456,38 @@ def test_integrate_mc_adaptive_stop_reports_scaled_stderr(monkeypatch):
     assert capped.samples == 5500
 
 
+def test_integrate_mc_rejects_bad_arguments():
+    cube = fr.Region.full_cube(2)
+    # Not one value per point: too few, a scalar, a column, too many.
+    for f in (lambda p: np.ones(3), lambda p: 1.0, lambda p: np.ones((len(p), 1)),
+              lambda p: np.ones(len(p) + 1)):
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            dl.integrate_mc(f, cube, 10, 1)
+    ones = lambda p: np.ones(len(p))
+    for target in (-1e-3, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="stderr_target must be nonnegative"):
+            dl.integrate_mc(ones, cube, 10, 1, stderr_target=target)
+    for samples in (10.0, 1.5, "10", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            dl.integrate_mc(ones, cube, samples, 1)
+    # The edges that stay valid: a zero or infinite target, a numpy count.
+    assert dl.integrate_mc(ones, cube, np.int64(10), 1, stderr_target=0.0).samples == 10
+    assert dl.integrate_mc(ones, cube, 10, 1, stderr_target=math.inf).samples == 10
+
+
+def test_nonfinite_radius_and_delta_rejected():
+    for radius in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+            fr.Region.origin_ball(2, radius)
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        fr.Region(fr.RegionKind.ORIGIN_BALL, 2)
+    assert fr.Region.origin_ball(2, 4.0).volume() == pytest.approx(16 * math.pi)
+    A = dl.sample_bernoulli(3, 50, 0.5, 1)
+    for delta in (math.nan, math.inf, -math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            dl.far_region_integral(A, delta, 100, 1)
+
+
 def test_far_membership_by_lattice_distance():
     pts = np.array([[0.0, 0.0], [0.25, 0.25], [0.45, 0.0], [0.05, 0.0]])
     far = fr._lattice_distance_sq(pts) >= 0.1 ** 2
@@ -792,6 +824,66 @@ def _table_rows(V, counts, thetas):
     return la, sign, cos_t.T
 
 
+def _per_step_sign_rows(V, counts, signed, thetas, coords=False):
+    """The angle-addition path's row function before its stacked tables and
+    per-block sign, kept as the reference: each half's tables built on
+    their own, per block of whole steps holding about 2 TABLE_CHUNK values
+    of the four tables, and the sign reduced and converted in every step.
+    Returns (la, sign, coordinate cosines)."""
+    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+    m, types = V.shape
+    h = m // 2
+    order = np.argsort(~odd, kind="stable")
+    bits = V[:, order].astype(np.int64)
+    lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
+    hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
+    n_odd, weights = int(odd.sum()), weights[order]
+    step = max(1, fr.TABLE_CHUNK // types)
+    block = max(step, fr.TABLE_CHUNK // ((1 << h) + (1 << (m - h))) // step * step)
+
+    def half_table(cos_h, sin_h, c, s, scratch):
+        c[0], s[0] = 1.0, 0.0
+        for i, (ci, si) in enumerate(zip(cos_h, sin_h)):
+            old, new, tmp = slice(0, 1 << i), slice(1 << i, 2 << i), scratch[:1 << i]
+            np.multiply(c[old], ci, out=c[new])
+            c[new] -= np.multiply(s[old], si, out=tmp)
+            np.multiply(s[old], ci, out=s[new])
+            s[new] += np.multiply(c[old], si, out=tmp)
+
+    k = thetas.shape[0]
+    ang = thetas.T * fr.TWO_PI
+    cos_t = np.cos(ang)
+    sin_t = np.sin(ang, out=ang)
+    la = np.empty(k)
+    sign = np.empty(k) if signed else None
+    flat = np.empty((3, types * min(k, step)))
+    width = min(k, block)
+    ca, sa = np.empty((2, 1 << h, width))
+    cb, sb = np.empty((2, 1 << (m - h), width))
+    scratch = np.empty((1 << (m - h - 1), width))
+    for a in range(0, k, step):
+        part, points, b = slice(a, a + step), min(step, k - a), a % block
+        if not b:
+            tab, w = slice(a, a + block), min(block, k - a)
+            half_table(cos_t[:h, tab], sin_t[:h, tab], ca[:, :w], sa[:, :w], scratch[:, :w])
+            half_table(cos_t[h:, tab], sin_t[h:, tab], cb[:, :w], sb[:, :w], scratch[:, :w])
+        cols = slice(b, b + points)
+        c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
+        np.take(ca[:, cols], lo, axis=0, out=c, mode="clip")
+        c *= np.take(cb[:, cols], hi, axis=0, out=tmp, mode="clip")
+        np.take(sa[:, cols], lo, axis=0, out=s, mode="clip")
+        s *= np.take(sb[:, cols], hi, axis=0, out=tmp, mode="clip")
+        c -= s
+        if signed:
+            sign[part] = np.where(np.logical_xor.reduce(c[:n_odd] < 0.0, axis=0), -1.0, 1.0)
+        logs = flat[1, :types * points].reshape(points, types)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(c, out=c).T, out=logs)
+        logs *= weights
+        la[part] = logs.sum(axis=1)
+    return la, sign, cos_t.T if coords else None
+
+
 def _reference_xhat(A, smoothing, pts):
     la, sign = _einsum_rows(*A.column_types, True, pts)
     if isinstance(smoothing, dl.ParitySmoother):
@@ -937,6 +1029,35 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
                     assert _hex(cos_t) == _hex(ref_cos)
                     no_coords = kernel(th)
                     assert no_coords[2] is None and _hex(no_coords[0]) == _hex(la)
+
+
+@pytest.mark.parametrize("m", (8, 9, 10, 11))
+def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
+    # The stacked tables (one extra level at odd m) and the per-block sign
+    # against the loop they replace: no points, one, a step and its
+    # neighbours, a partial last block and several blocks; the default
+    # TABLE_CHUNK and one small enough for steps of one or two points.
+    rng = stream(47, m)
+    first = max(fr.TABLE_MIN_TYPES, 4 << (m - m // 2))
+    for chunk in (fr.TABLE_CHUNK, 1 << 11):
+        monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        for types in sorted({first, int(rng.integers(first, (1 << m) + 1))}):
+            V, counts = _random_types(rng, m, types, bool(rng.integers(2)), [])
+            step = max(1, chunk // types)
+            block = max(step, chunk // (2 << (m - m // 2)) // step * step)
+            sizes = {0, 1, step - 1, step, step + 1, block + step // 2 + 1, 3 * block + 1}
+            pts = _points(rng, max(sizes) // 2 + 1, m)
+            for k in sorted(sizes):
+                th = pts[:k]
+                for signed in (False, True):
+                    kernel = fr._kernel(V, counts, signed)
+                    for coords in (False, True):
+                        got = kernel(th, coords=coords)
+                        ref = _per_step_sign_rows(V, counts, signed, th, coords)
+                        for g, r in zip(got, ref):
+                            assert (g is None) == (r is None), (m, types, k, chunk, signed, coords)
+                            if r is not None:
+                                assert _hex(g) == _hex(r), (m, types, k, chunk, signed, coords)
 
 
 def test_samplers_and_lattice_distance_keep_the_bits():
