@@ -17,7 +17,9 @@ and from there on the factors of a point come from cos and sin tables of
 the subset sums of each half of its coordinates, built by angle addition
 from 2m libm calls instead of T, one cache-sized block of points at a
 time; both halves' tables are stacked and built in the same calls, and
-the sign of a block's points is reduced once per block. TABLE_MIN_TYPES
+the sign of a block's points is reduced once per block. That path's
+per-type plan is cached per set of columns and its loop views are built
+once per call, so each of its steps is numpy calls alone. TABLE_MIN_TYPES
 records the measured crossover; `_kernel` gives the accuracy of each
 path, its memory, and why no row depends on the batch that holds it.
 All integrals here are
@@ -279,29 +281,42 @@ def _lattice_distance_sq(pts: np.ndarray) -> np.ndarray:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
-def _half_tables(cos_t: np.ndarray, sin_t: np.ndarray, h: int, c: np.ndarray, s: np.ndarray,
-                 scratch: np.ndarray) -> None:
-    """cos and sin of 2 pi times every subset sum of each half of the m
-    coordinates, written into c and s, (2, 2^(m-h), k) each, from their
-    (m, k) cos and sin by angle addition: row j of half 0 is the subset of
-    the set bits of j among coordinates 0..h-1 (rows from 2^h on are left
-    unset), row j of half 1 among h..m-1. Each level of the addition covers
-    both halves in the same calls, and when m is odd a last level covers
-    half 1 alone. scratch, at least (2, 2^(m-h-1), k), holds each level's
-    products in turn."""
-    c[:, 0], s[:, 0] = 1.0, 0.0
-    for i in range(len(cos_t) - h):
-        both = i < h
-        halves = slice(0 if both else 1, 2)
-        coords = slice(i if both else h + i, h + i + 1, h)  # i and h + i, or h + i
-        ci, si = cos_t[coords, None], sin_t[coords, None]
-        old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
-        c_old, s_old, c_new, s_new = c[halves, old], s[halves, old], c[halves, new], s[halves, new]
-        tmp = scratch[halves, :1 << i]
-        np.multiply(c_old, ci, out=c_new)
-        np.subtract(c_new, np.multiply(s_old, si, out=tmp), out=c_new)
-        np.multiply(s_old, ci, out=s_new)
-        np.add(s_new, np.multiply(c_old, si, out=tmp), out=s_new)
+def _half_table_levels(m: int) -> Tuple[Tuple[slice, slice, slice, slice], ...]:
+    """The levels of the angle addition that builds the half tables of
+    `_kernel`, as (halves, coords, old, new) slices. The tables hold cos
+    and sin of 2 pi times every subset sum of each half of the m
+    coordinates, (2, 2^(m-h), k) each: row j of half 0 is the subset of the
+    set bits of j among coordinates 0..h-1 (rows from 2^h on are left
+    unset), row j of half 1 among h..m-1, and row 0 is the empty subset.
+    Level i writes rows `new` = 2^i..2^(i+1)-1 of `halves` from rows `old`
+    = 0..2^i-1 and the (m, k) cos and sin rows `coords` of the coordinates
+    it adds: each level covers both halves in the same calls (coordinates
+    i and h + i), and when m is odd a last level covers half 1 alone."""
+    h = m // 2
+    return tuple((slice(0 if i < h else 1, 2), slice(i if i < h else h + i, h + i + 1, h),
+                  slice(0, 1 << i), slice(1 << i, 2 << i)) for i in range(m - h))
+
+
+@lru_cache(maxsize=256)
+def _table_plan(m: int, types: int, bits: bytes, counts: bytes) -> tuple:
+    """The static plan of the angle-addition path of `_kernel` for 0/1
+    columns given as (m, types) bools and their int64 counts: (lo, hi,
+    n_odd, weights), the types in odd-first order as their lo and hi
+    indices into the two half tables, the number of odd types, and the
+    counts as floats in that order. The arrays are read-only, since every
+    kernel of these columns shares them."""
+    V = np.frombuffer(bits, dtype=bool).reshape(m, types)
+    weights = np.frombuffer(counts, dtype=np.int64)
+    odd = (weights & 1).astype(bool)
+    order = np.argsort(~odd, kind="stable")
+    ordered = V[:, order].astype(np.int64)
+    h = m // 2
+    lo = (ordered[:h] << np.arange(h)[:, None]).sum(axis=0)
+    hi = (ordered[h:] << np.arange(m - h)[:, None]).sum(axis=0)
+    weights = weights.astype(np.float64)[order]
+    for a in (lo, hi, weights):
+        a.flags.writeable = False
+    return lo, hi, int(odd.sum()), weights
 
 
 def _runs(rows) -> Tuple[Tuple[int, int], ...]:
@@ -385,17 +400,25 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     subset sums are tabulated by angle addition from one cos and one sin
     per coordinate, and each type's factor is
     CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
-    2m libm calls per point instead of T. The coordinates' cos and sin are
+    2m libm calls per point instead of T. The types' odd-first order,
+    their lo and hi, the number of odd types and the ordered weights are
+    cached per set of columns (`_table_plan`); the step and block follow
+    TABLE_CHUNK at each kernel built. The coordinates' cos and sin are
     taken once per batch. The tables are built per block of points, into
     one stacked (2, 2^(m-h), block) buffer each for cos and sin, reused
     from block to block, so that each level of the angle addition covers
-    both halves in the same numpy calls (`_half_tables`). The per-type
-    work runs in steps of at most TABLE_CHUNK points x types, each of at
-    most 12 numpy calls: four gathers, the products, the odd types'
-    negative flags written into an (odd types, block) buffer, and the
-    weighted log sum; the flags' parity becomes the sign once per block.
-    Few calls per step matter because each call takes the interpreter
-    lock back from the other threads of the row split. A block is a whole
+    both halves in the same numpy calls (`_half_table_levels`). The
+    per-type work runs in steps of at most TABLE_CHUNK points x types,
+    each of at most 12 numpy calls: four gathers, the products, the odd
+    types' negative flags written into an (odd types, block) buffer, and
+    the weighted log sum; the flags' parity becomes the sign once per
+    block. Each call builds every view a block of full width needs once
+    (each level's operands and outputs, each step's table columns,
+    buffers, flags and slice of the result) and again only for a ragged
+    last block, so the loops make only ufunc and ndarray.take calls.
+    This matters because each call takes the interpreter lock back from
+    the other threads of the row split, and Python between the calls
+    holds it. A block is a whole
     number of steps whose stacked tables, 4 2^(m-h) values per point, hold
     about 2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
     cache, and beyond the batch's O(m) values per point the working set
@@ -409,10 +432,10 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     values, so on either path a row's value does not depend on the batch
     that holds it.
     """
-    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
     m, types = V.shape
     h = m // 2
     if types < TABLE_MIN_TYPES or (4 << (m - h)) > types:
+        odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
         angles, steps, cos_runs, type_rows, odd_rows, einsum = _angle_plan(
             m, types, V.astype(bool).tobytes(), odd.tobytes())
         type_weights = weights[:, None]
@@ -459,12 +482,10 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             return la, sign, cos_t
         return rows
 
-    # Types in odd-first order, each as its (lo, hi) pair of half-table indices.
-    order = np.argsort(~odd, kind="stable")
-    bits = V[:, order].astype(np.int64)
-    lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
-    hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
-    n_odd, weights = int(odd.sum()), weights[order]
+    lo, hi, n_odd, weights = _table_plan(m, types, V.astype(bool).tobytes(),
+                                         counts.astype(np.int64).tobytes())
+    levels = _half_table_levels(m)
+    plus_minus = np.array([1.0, -1.0])  # the sign of an even and an odd count of negatives
     step = max(1, TABLE_CHUNK // types)
     # Points per block of half tables: whole steps, and about 2 TABLE_CHUNK
     # values for the stacked tables, 4 2^(m-h) per point.
@@ -481,40 +502,70 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         flat = np.empty((3, types * min(k, step)))
         width = min(k, block)
         tables = np.empty((2, 2, 1 << (m - h), width))
+        tables[0, :, 0], tables[1, :, 0] = 1.0, 0.0  # the empty subset, never overwritten
         scratch = np.empty((2, 1 << (m - h - 1), width))
         neg = np.empty((n_odd, width), dtype=bool)
+        parity = np.empty(width, dtype=bool)
+        # Each level's rows of coordinate cos and sin over the batch.
+        coord_rows = [(cos_t[c, None], sin_t[c, None]) for _, c, _, _ in levels]
 
-        def views(points: int) -> Tuple[np.ndarray, ...]:
-            # c, s and tmp, (types, points), and the weighted logs point-major
-            # in s's memory.
+        def step_views(points: int) -> Tuple[np.ndarray, ...]:
+            # c, s and tmp, (types, points); c's odd types and transpose;
+            # and the weighted logs point-major in s's memory.
             c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
-            return c, s, tmp, flat[1, :types * points].reshape(points, types)
+            return c, s, tmp, c[:n_odd], c.T, flat[1, :types * points].reshape(points, types)
+
+        def block_views(w: int) -> tuple:
+            # For a block of w points: each level's operand and output views
+            # of the tables, each step's table columns, negative flags and
+            # step_views, and the flags and parity of the whole block.
+            c_tab, s_tab = tables[..., :w]
+            tmp = scratch[..., :w]
+            ops = [(c_tab[hv, old], s_tab[hv, old], c_tab[hv, new], s_tab[hv, new], tmp[hv, old])
+                   for hv, _, old, new in levels]
+            (ca, cb), (sa, sb) = c_tab, s_tab
+            steps = []
+            for b in range(0, w, step):
+                cols = slice(b, min(b + step, w))
+                points = cols.stop - b
+                steps.append((ca[:, cols], cb[:, cols], sa[:, cols], sb[:, cols], neg[:, cols])
+                             + (full if points == size else step_views(points)))
+            return ops, steps, neg[:, :w], parity[:w]
         size = min(k, step)
-        full = views(size)
+        full = step_views(size)
+        whole = block_views(width)
+        # Each step's slice of la, in order: a block is whole steps, so every
+        # step but the batch's last is whole and starts at a multiple of step.
+        whole_steps = k - k % step
+        targets = iter([*la[:whole_steps].reshape(-1, step), la[whole_steps:]])
         with np.errstate(divide="ignore"):
             for t in range(0, k, block):
                 w = min(block, k - t)
-                c_tab, s_tab = tables[..., :w]
-                _half_tables(cos_t[:, t:t + w], sin_t[:, t:t + w], h, c_tab, s_tab, scratch[..., :w])
-                (ca, cb), (sa, sb) = c_tab, s_tab
-                for b in range(0, w, step):
-                    points = min(step, w - b)
-                    c, s, tmp, logs = full if points == size else views(points)
-                    cols = slice(b, b + points)
+                ops, steps, neg_w, parity_w = whole if w == width else block_views(w)
+                span = slice(t, t + w)
+                for (cl, sl), (c_old, s_old, c_new, s_new, tmp) in zip(coord_rows, ops):
+                    ci, si = cl[:, :, span], sl[:, :, span]
+                    np.multiply(c_old, ci, c_new)
+                    np.subtract(c_new, np.multiply(s_old, si, tmp), c_new)
+                    np.multiply(s_old, ci, s_new)
+                    np.add(s_new, np.multiply(c_old, si, tmp), s_new)
+                for (ca, cb, sa, sb, neg_j, c, s, tmp, c_odd, c_t, logs), la_j in zip(steps, targets):
                     # c = CA[lo] CB[hi] - SA[lo] SB[hi]; mode="clip" spares
                     # take a defensive copy of out (every index is in range).
-                    np.take(ca[:, cols], lo, axis=0, out=c, mode="clip")
-                    np.multiply(c, np.take(cb[:, cols], hi, axis=0, out=tmp, mode="clip"), out=c)
-                    np.take(sa[:, cols], lo, axis=0, out=s, mode="clip")
-                    np.multiply(s, np.take(sb[:, cols], hi, axis=0, out=tmp, mode="clip"), out=s)
-                    np.subtract(c, s, out=c)
+                    ca.take(lo, 0, c, "clip")
+                    np.multiply(c, cb.take(hi, 0, tmp, "clip"), c)
+                    sa.take(lo, 0, s, "clip")
+                    np.multiply(s, sb.take(hi, 0, tmp, "clip"), s)
+                    np.subtract(c, s, c)
                     if signed:
-                        np.less(c[:n_odd], 0.0, out=neg[:, cols])
-                    np.log(np.abs(c, out=c).T, out=logs)
-                    np.multiply(logs, weights, out=logs)
-                    np.add.reduce(logs, axis=1, out=la[t + b:t + b + points])
+                        np.less(c_odd, 0.0, neg_j)
+                    np.absolute(c, c)
+                    np.log(c_t, logs)
+                    np.multiply(logs, weights, logs)
+                    np.add.reduce(logs, 1, None, la_j)
                 if signed:
-                    sign[t:t + w] = np.where(np.logical_xor.reduce(neg[:, :w], axis=0), -1.0, 1.0)
+                    np.logical_xor.reduce(neg_w, 0, None, parity_w)
+                    plus_minus.take(parity_w, 0, sign[span], "clip")
         return la, sign, cos_t.T if coords else None
     return rows
 

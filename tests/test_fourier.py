@@ -1060,6 +1060,81 @@ def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
                                 assert _hex(g) == _hex(r), (m, types, k, chunk, signed, coords)
 
 
+@pytest.mark.parametrize("m", (8, 9))
+@pytest.mark.parametrize("parity", ("even", "odd", "mixed"))
+def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypatch):
+    # Every count even (no odd type, so the sign is +1 everywhere), every
+    # count odd, and both, at even and odd m; one point, and a batch whose
+    # last block and last step are both ragged; against the per-step sign
+    # loop, at the default TABLE_CHUNK and a small one.
+    rng = stream(51, m)
+    first = max(fr.TABLE_MIN_TYPES, 4 << (m - m // 2))
+    V, counts = _random_types(rng, m, int(rng.integers(first, (1 << m) + 1)), True, [])
+    counts = {"even": 2 * counts, "odd": 2 * counts + 1, "mixed": counts}[parity]
+    types = V.shape[1]
+    for chunk in (fr.TABLE_CHUNK, 1 << 11):
+        monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        step = max(1, chunk // types)
+        block = max(step, chunk // (2 << (m - m // 2)) // step * step)
+        ragged = 3 * block - 1  # last block block - 1 points, last step step - 1
+        assert step > 1 and ragged % block % step == step - 1
+        pts = _points(rng, ragged // 2, m)
+        for k in (1, ragged):
+            th = pts[:k]
+            for signed in (False, True):
+                got = fr._kernel(V, counts, signed)(th, coords=True)
+                ref = _per_step_sign_rows(V, counts, signed, th, coords=True)
+                assert [_hex(g) for g in got if g is not None] == [
+                    _hex(r) for r in ref if r is not None], (parity, chunk, k, signed)
+                if signed and parity == "even":
+                    assert (got[1] == 1.0).all()
+
+
+def test_table_plan_is_cached_but_step_and_path_follow_the_constants(monkeypatch):
+    # A matrix's plan (type order, half-table indices, weights) is cached and
+    # shared, read-only, by its kernels; the step and block still follow
+    # TABLE_CHUNK and the path TABLE_MIN_TYPES at each kernel built, with the
+    # bits of the path taken.
+    import tracemalloc
+    A = _wide_instance()
+    V, counts = A.column_types
+    types = V.shape[1]
+    th = _points(stream(52), 1500, A.m)
+    assert fr._table_plan.cache_parameters()["maxsize"] == fr._angle_plan.cache_parameters()[
+        "maxsize"] == 256
+    fr._kernel(V, counts, True)
+    before = fr._table_plan.cache_info()
+    table_ref = _per_step_sign_rows(V, counts, True, th, coords=True)
+    chunks, peaks = (fr.TABLE_CHUNK, 1 << 11), []
+    for chunk in chunks:
+        monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        kernel = fr._kernel(V, counts, True)
+        tracemalloc.start()
+        try:
+            got = kernel(th, coords=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [_hex(g) for g in got] == [_hex(r) for r in table_ref], chunk
+    after = fr._table_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    # The whole call at the small chunk peaks below the three (types, step)
+    # buffers of the default step alone.
+    assert peaks[1] < 3 * 8 * types * max(1, chunks[0] // types) < peaks[0], peaks
+    lo, hi, _, weights = fr._table_plan(A.m, types, V.astype(bool).tobytes(),
+                                        counts.astype(np.int64).tobytes())
+    assert not (lo.flags.writeable or hi.flags.writeable or weights.flags.writeable)
+
+    monkeypatch.setattr(fr, "TABLE_MIN_TYPES", types + 1)
+    la, sign, _ = fr._kernel(V, counts, True)(th)
+    ref_la, ref_sign = _einsum_rows(V, counts, True, th)
+    assert _hex(la) == _hex(ref_la) and _hex(sign) == _hex(ref_sign)
+    assert _hex(la) != _hex(table_ref[0])  # the two paths round differently
+    monkeypatch.setattr(fr, "TABLE_MIN_TYPES", types)
+    got = fr._kernel(V, counts, True)(th, coords=True)
+    assert [_hex(g) for g in got] == [_hex(r) for r in table_ref]
+
+
 def test_samplers_and_lattice_distance_keep_the_bits():
     # The in-place samplers and lattice distance against the expressions
     # they replace, on the same streams.
