@@ -19,9 +19,10 @@ from 2m libm calls instead of T, one cache-sized block of points at a
 time; both halves' tables are stacked and built in the same calls, and
 the sign of a block's points is reduced once per block. That path's
 per-type plan is cached per set of columns and its loop views are built
-once per call, so each of its steps is numpy calls alone. TABLE_MIN_TYPES
-records the measured crossover; `_kernel` gives the accuracy of each
-path, its memory, and why no row depends on the batch that holds it.
+once per call, so each of its steps is numpy calls alone. The comment on
+TABLE_MIN_TYPES records the measured crossover and why the constant sits
+above it; `_kernel` gives the accuracy of each path, its memory, and why
+no row depends on the batch that holds it.
 All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
 the one engine: a `Region` (cube, quarter cube or origin ball) draws
@@ -45,10 +46,10 @@ computes it and whatever slice or window holds it, and block moments are
 merged in block order, so every estimate is the same at any core count.
 Threads scale less than cores because each numpy call takes the
 interpreter lock back: on 2 vCPUs (Xeon, numpy 2.4), `xhat_batch` on
-2^16 cube points at m = 8 and 10 (n = 533 and 922) ran 1.73-1.81 times
-as fast on two threads as on one on the angle-addition path and
-1.77-1.89 times on the libm path, while two processes each running it on
-one thread were at most 2.4% slower than one alone.
+2^16 cube points at m = 8 and 10 (n = 533 and 922) ran 1.80-1.85 times
+as fast on two threads as on one on the angle-addition path (45 and
+99 ms on two) and 1.77-1.89 times on the libm path, while two processes
+each running it on one thread were at most 0.6% slower than one alone.
 Only the draws run on the pool, not whole blocks: bench/tracing.py starts
 and stops the process-wide `tracemalloc` around each kernel call
 (`dhat_batch`, `dhat_log_abs_batch`, `dhat_partial`), which has crashed
@@ -119,11 +120,14 @@ KERNEL_CHUNK = 1 << 22
 # Column types from which the transform kernel builds its factors by angle
 # addition instead of one libm cos per distinct angle (see _kernel).
 # Measured with one thread over m = 6..10 (Xeon, AVX-512, numpy 2.4) on
-# 16384 points: on the cube the angle-addition path was 1.3-2.2x faster at
-# every type count it can take (from 41 types at m = 6); within 0.01 of the
-# origin, where libm's cos is cheap and the central pieces sample, the
-# libm path was faster up to about 120 types and within 6% up to 182. The
-# libm path is also the more accurate near the origin.
+# 16384 points and random distinct types: on the cube the angle-addition
+# path was 1.5-4.1x faster at every type count it can take (from 32 types
+# at m = 6); within 0.01 of the origin, where libm's cos is cheap and the
+# central pieces sample, the libm path was 10% faster at 32 types (m = 6)
+# and 1.03-1.9x slower from 41 on. So the crossover lies near 40 types,
+# far below this constant, which stays because a lower one would put the
+# m = 8, 94-type golden entry on the other path's bits. The libm path is
+# also the more accurate near the origin.
 TABLE_MIN_TYPES = 128
 
 # Values per block of the libm path of the kernel (its angle and weighted
@@ -139,10 +143,13 @@ LIBM_CHUNK = 1 << 18
 # half tables are built per block of whole steps holding about
 # 2 TABLE_CHUNK values, 1 MB, so they stay in that cache too (about 970
 # points at m = 10, 2020 at m = 8). On that Xeon with two threads, one
-# round of the m in {8, 10} benchmark workload took 284-286 ms with steps
-# of 2^15, 253-259 with 3 2^14, 243-244 with 2^16, 255-267 with 3 2^15 and
-# 276-283 with 2^17: smaller steps spend more Python per value, and the
-# three arrays of larger ones (2.25 MB at 3 2^15) outgrow that cache. With tables over a whole row-split slice
+# round of the m in {8, 10} benchmark workload took 248.5-249.7 ms with
+# steps of 2^15, 229.6-231.0 with 3 2^14, 230.0-230.8 with 2^16 and
+# 246.5-247.6 with 3 2^15 (three 12 s runs each): smaller steps make more
+# numpy calls per value, and the three arrays of larger ones (2.25 MB at
+# 3 2^15) outgrow that cache. In six alternating 30 s runs of 3 2^14
+# against 2^16, each won three (medians 849.5k and 848.0k samples/s), so
+# the step stays 2^16. With tables over a whole row-split slice
 # (4 MB per thread at m = 8), xhat_batch on cube points took 1.28 (m = 8)
 # and 1.15 (m = 10) times as long on one thread, and the peak RSS of that
 # workload was 7 MB higher.
@@ -533,15 +540,15 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             return ops, steps, neg[:, :w], parity[:w]
         size = min(k, step)
         full = step_views(size)
-        whole = block_views(width)
+        full_block = block_views(width)
         # Each step's slice of la, in order: a block is whole steps, so every
         # step but the batch's last is whole and starts at a multiple of step.
-        whole_steps = k - k % step
-        targets = iter([*la[:whole_steps].reshape(-1, step), la[whole_steps:]])
+        cut = k - k % step
+        targets = iter([*la[:cut].reshape(-1, step), la[cut:]])
         with np.errstate(divide="ignore"):
             for t in range(0, k, block):
                 w = min(block, k - t)
-                ops, steps, neg_w, parity_w = whole if w == width else block_views(w)
+                ops, steps, neg_w, parity_w = full_block if w == width else block_views(w)
                 span = slice(t, t + w)
                 for (cl, sl), (c_old, s_old, c_new, s_new, tmp) in zip(coord_rows, ops):
                     ci, si = cl[:, :, span], sl[:, :, span]
