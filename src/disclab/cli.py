@@ -43,10 +43,15 @@ def _emit(payload, out: Optional[str]) -> None:
 
 
 def _parse_vector(text: str, kind=float) -> np.ndarray:
+    """A comma-separated vector of finite numbers; ValueError otherwise."""
     try:
-        return np.array([kind(part) for part in text.split(",") if part != ""])
-    except ValueError as exc:
+        vec = np.array([kind(part) for part in text.split(",") if part != ""],
+                       dtype=np.int64 if kind is int else np.float64)
+    except (ValueError, OverflowError) as exc:  # OverflowError: past int64
         raise ValueError(f"could not parse vector {text!r}: {exc}") from None
+    if not np.isfinite(vec).all():  # NaN would print as JSON's invalid NaN
+        raise ValueError(f"vector {text!r} has a non-finite coordinate")
+    return vec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     inv = subs.add_parser("invert", help="point probability of the smoothed discrepancy")
     inv.add_argument("--in", dest="infile", required=True)
     inv.add_argument("--delta", type=int, default=1)
-    inv.add_argument("--lambda", dest="lam", default="0",
-                     help="comma-separated integer vector, e.g. 0,0,0")
+    inv.add_argument("--lambda", dest="lam", default=None,
+                     help="comma-separated integer vector, e.g. 0,0,0 (default: zero)")
     inv.add_argument("--samples", type=int, default=10 ** 6)
     inv.add_argument("--exact", action="store_true",
                      help="also compute the exact law (n <= 24): an integer dynamic "
@@ -156,7 +161,10 @@ def _cmd_disc(args) -> int:
 
 def _cmd_invert(args) -> int:
     A = IncidenceMatrix.load(args.infile)
-    lam = _parse_vector(args.lam, kind=int).astype(int)
+    if args.lam is None:
+        lam = np.zeros(A.m, dtype=int)
+    else:
+        lam = _parse_vector(args.lam, kind=int)
     spec = sm.build_pmf(args.delta)
     # The exact query first: its n > 24 refusal then costs no Monte Carlo.
     exact = iv.prob_exact(A, spec, lam) if args.exact else None

@@ -9,20 +9,25 @@ coloring factors over the columns of A:
 real-valued and bounded by one. It is evaluated over the distinct column
 types as sign plus a multiplicity-weighted sum of log|cos| (clamped at
 exp(-745); an exactly zero factor gives zero), because thousands of
-sub-unit factors would underflow a naive product. The kernel's cost is
-libm's float64 cos, which numpy evaluates one value at a time. So with
-fewer than TABLE_MIN_TYPES column types (T) the kernel takes one cos per
-distinct nonzero angle, building each type's angle from its prefix's,
-and from there on the factors of a point come from cos and sin tables of
-the subset sums of each half of its coordinates, built by angle addition
-from 2m libm calls instead of T, one cache-sized block of points at a
-time; both halves' tables are stacked and built in the same calls, and
-the sign of a block's points is reduced once per block. That path's
-per-type plan is cached per set of columns and its loop views are built
-once per call, so each of its steps is numpy calls alone. The comment on
-TABLE_MIN_TYPES records the measured crossover and why the constant sits
-above it; `_kernel` gives the accuracy of each path, its memory, and why
-no row depends on the batch that holds it.
+sub-unit factors would underflow a naive product. numpy evaluates
+float64 cos and sin with libm one value at a time, but its tan is
+vectorised, so every cosine and sine the kernel takes comes from the
+tangent of the half angle (`_cos_turns`), in turns: on a 2-vCPU Xeon
+with AVX-512 and numpy 2.4, 5-6 ns a value against 13-20 ns for libm's
+cos. With fewer than TABLE_MIN_TYPES column types (T) the kernel takes
+one cosine per distinct nonzero angle, building each type's angle from
+its prefix's (the "libm path", named for the cos it used to take), and
+from there on the factors of a point come from cos and sin tables of the
+subset sums of each half of its coordinates, built by angle addition
+from one cosine and one sine per coordinate instead of T cosines, one
+cache-sized block of points at a time; both halves' tables are stacked
+and built in the same calls, and the sign of a block's points is reduced
+once per block. That path's per-type plan is cached per set of columns
+and its loop views are built once per call, so each of its steps is
+numpy calls alone. The comment on TABLE_MIN_TYPES records the measured
+crossover and why the constant sits above it; `_kernel` gives the
+accuracy of each path, its memory, and why no row depends on the batch
+that holds it.
 All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
 the one engine: a `Region` (cube, quarter cube or origin ball) draws
@@ -118,16 +123,16 @@ LOG_CLAMP = -745.0
 KERNEL_CHUNK = 1 << 22
 
 # Column types from which the transform kernel builds its factors by angle
-# addition instead of one libm cos per distinct angle (see _kernel).
+# addition instead of one cosine per distinct angle (see _kernel).
 # Measured with one thread over m = 6..10 (Xeon, AVX-512, numpy 2.4) on
-# 16384 points and random distinct types: on the cube the angle-addition
-# path was 1.5-4.1x faster at every type count it can take (from 32 types
-# at m = 6); within 0.01 of the origin, where libm's cos is cheap and the
-# central pieces sample, the libm path was 10% faster at 32 types (m = 6)
-# and 1.03-1.9x slower from 41 on. So the crossover lies near 40 types,
-# far below this constant, which stays because a lower one would put the
-# m = 8, 94-type golden entry on the other path's bits. The libm path is
-# also the more accurate near the origin.
+# 16384 points and random distinct types, the paths alternating: with
+# both paths on `_cos_turns`, the angle-addition path was 1.11-1.90x as
+# fast at every type count it can take (from 32 types at m = 6, 64 at
+# m = 7 and 8), on the cube and within 0.01 of the origin alike, since
+# the cosine costs the same at any angle. So there is no
+# crossover above that smallest count, and the constant is far above it;
+# it stays because a lower one would put the m = 8, 94-type golden entry
+# on the other path's bits.
 TABLE_MIN_TYPES = 128
 
 # Values per block of the libm path of the kernel (its angle and weighted
@@ -288,6 +293,35 @@ def _lattice_distance_sq(pts: np.ndarray) -> np.ndarray:
 # -- transforms of the signed discrepancy ------------------------------------------
 
 
+def _cos_turns(x: np.ndarray, cos: np.ndarray, tmp: np.ndarray,
+               sin: Optional[np.ndarray] = None) -> None:
+    """cos(2 pi x) into cos and, if sin is given, sin(2 pi x) into sin, for
+    x in turns. x may be cos itself; tmp is scratch of x's shape.
+
+    With r = x - rint(x), which is exact, and t = tan(pi r):
+    cos = 1 - 2 t^2 / (1 + t^2) and sin = 2 t / (1 + t^2). numpy's float64
+    cos and sin call libm one value at a time, while its tan is vectorised
+    (on AVX-512): on the Xeon of the module docstring this took 5-6 ns a
+    value for cos and 6-7 for both, against 13-20 and 20-46 ns for libm's.
+    As rounded, |cos| <= 1, cos(0) = 1 and cos of a half turn is -1. Every
+    value is computed elementwise, so it does not depend on the array that
+    holds it.
+    """
+    np.rint(x, out=tmp)
+    np.subtract(x, tmp, out=cos)
+    np.multiply(cos, math.pi, out=cos)
+    np.tan(cos, out=cos)
+    np.multiply(cos, cos, out=tmp)
+    denom = cos if sin is None else sin  # t is still needed for sin
+    np.add(tmp, 1.0, out=denom)
+    np.add(tmp, tmp, out=tmp)
+    np.divide(tmp, denom, out=tmp)
+    if sin is not None:
+        np.add(cos, cos, out=cos)
+        np.divide(cos, sin, out=sin)
+    np.subtract(1.0, tmp, out=cos)
+
+
 def _half_table_levels(m: int) -> Tuple[Tuple[slice, slice, slice, slice], ...]:
     """The levels of the angle addition that builds the half tables of
     `_kernel`, as (halves, coords, old, new) slices. The tables hold cos
@@ -391,49 +425,61 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     coordinate cosines cos(2 pi theta_i) (a transposed view), else None.
 
     The factors come from one of two paths, chosen by the number T of
-    column types. Below TABLE_MIN_TYPES the libm cos dominates the cost,
-    and the path takes one per distinct nonzero angle, type-major on a
+    column types. Below TABLE_MIN_TYPES the cosines dominate the cost, and
+    the path takes one per distinct nonzero angle, type-major on a
     (rows, points) array in blocks of at most LIBM_CHUNK values (see
     _angle_plan). Each subset's angle is its prefix's (the subset without
     its highest coordinate) plus that coordinate: the left-to-right sum
     einsum forms for the inner product, so each angle has einsum's bits (a
-    lone type takes einsum's own angle). The zero type's factor is 1, with no
-    cos; coordinates that are no type get a cos only with coords; the sign
-    is the parity of the odd types' negative factors; and the weighted log
-    factors are summed in the order numpy sums a row of them (`_sum_rows`).
-    So every value is, bit for bit, that of one cos per type and a row sum.
+    lone type takes einsum's own angle). The zero type's factor is 1, with
+    no cosine; coordinates that are no type get one only with coords; the
+    sign is the parity of the odd types' negative factors; and the weighted
+    log factors are summed in the order numpy sums a row of them
+    (`_sum_rows`). So every value is, bit for bit, that of one cosine per
+    type and a row sum. The cosines' scratch is the block's log rows, and
+    the array holds at least as many of those as the longest run of angles
+    that takes a cosine.
     From TABLE_MIN_TYPES on, the m coordinates are split into halves of
     h = m // 2 and m - h. For each half, cos and sin of 2 pi times all
     subset sums are tabulated by angle addition from one cos and one sin
     per coordinate, and each type's factor is
     CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
-    2m libm calls per point instead of T. The types' odd-first order,
-    their lo and hi, the number of odd types and the ordered weights are
-    cached per set of columns (`_table_plan`); the step and block follow
-    TABLE_CHUNK at each kernel built. The coordinates' cos and sin are
-    taken once per batch. The tables are built per block of points, into
-    one stacked (2, 2^(m-h), block) buffer each for cos and sin, reused
-    from block to block, so that each level of the angle addition covers
-    both halves in the same numpy calls (`_half_table_levels`). The
+    m cosines and m sines per point instead of T cosines. The types'
+    odd-first order, their lo and hi, the number of odd types and the
+    ordered weights are cached per set of columns (`_table_plan`); the
+    step and block follow TABLE_CHUNK at each kernel built. Per block of
+    points, the coordinates' cos and sin are taken into one (2, m, block)
+    buffer, with the tables' scratch as theirs, and the tables are built
+    into one stacked (2, 2^(m-h), block) buffer each for cos and sin; all
+    are reused from block to block, and each level of the angle addition
+    covers both halves in the same numpy calls (`_half_table_levels`). The
     per-type work runs in steps of at most TABLE_CHUNK points x types,
     each of at most 12 numpy calls: four gathers, the products, the odd
     types' negative flags written into an (odd types, block) buffer, and
     the weighted log sum; the flags' parity becomes the sign once per
     block. Each call builds every view a block of full width needs once
-    (each level's operands and outputs, each step's table columns,
-    buffers, flags and slice of the result) and again only for a ragged
-    last block, so the loops make only ufunc and ndarray.take calls.
-    This matters because each call takes the interpreter lock back from
-    the other threads of the row split, and Python between the calls
-    holds it. A block is a whole
-    number of steps whose stacked tables, 4 2^(m-h) values per point, hold
-    about 2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
-    cache, and beyond the batch's O(m) values per point the working set
-    does not grow with the batch. This path rounds differently from one
-    cos per factor: near the origin log|dhat| stays within rel 1e-12 of
-    the column product; on the cube its worst error, relative to the
-    conditioning sum_v counts[v] / |cos_v|, is within 4 times the libm
-    path's.
+    (its coordinate cos and sin, each level's operands and outputs, each
+    step's table columns, buffers, flags and slice of the result) and
+    again only for a ragged last block, so the loops make only ufunc and
+    ndarray.take calls. This matters because each call takes the
+    interpreter lock back from the other threads of the row split, and
+    Python between the calls holds it. A block is a whole number of steps
+    whose stacked tables, 4 2^(m-h) values per point, hold about
+    2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
+    cache, and beyond the batch's O(1) values per point (O(m) with coords)
+    the working set does not grow with the batch. This path rounds
+    differently from one cosine per factor: near the origin log|dhat|
+    stays within rel 1e-12 of the column product; on the cube its worst
+    error, relative to the conditioning sum_v counts[v] / |cos_v|, is
+    within 4 times the libm path's.
+
+    Every cosine and sine on either path is `_cos_turns`'s, so the bits
+    follow numpy's tan dispatch as they follow its log and exp: where numpy
+    takes tan from libm they differ, at the same accuracy. Against a long
+    double column product after the same exact turn reduction, log|dhat|
+    was within 1.9e-13 at points within 0.01 of the origin, and its worst
+    error on the cube was 1.5-3.9 eps (2^-52) times the conditioning at
+    m = 2, 4 (the libm path) and 8, 10 (the table path).
 
     Every step is elementwise except the reductions over each point's own
     values, so on either path a row's value does not depend on the batch
@@ -446,11 +492,13 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         angles, steps, cos_runs, type_rows, odd_rows, einsum = _angle_plan(
             m, types, V.astype(bool).tobytes(), odd.tobytes())
         type_weights = weights[:, None]
-        height = angles + types
+        # The log rows are also the cosines' scratch, so there are at least
+        # as many as the longest run of angles that takes a cosine.
+        height = angles + max([types] + [b - a for runs in cos_runs for a, b in runs])
         step = max(1, LIBM_CHUNK // height)
 
         def block(thetas: np.ndarray, work: np.ndarray, coords: bool) -> Rows:
-            ang, logs = work[:angles], work[angles:]
+            ang, logs = work[:angles], work[angles:angles + types]
             ang[:m] = thetas.T
             ang[-1] = 1.0
             for a, b, prefixes, highs in steps:
@@ -458,7 +506,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             if einsum:
                 ang[m] = np.einsum("bi,ik->bk", thetas, V)[:, 0]
             for a, b in cos_runs[coords]:
-                np.cos(np.multiply(ang[a:b], TWO_PI, out=ang[a:b]), out=ang[a:b])
+                _cos_turns(ang[a:b], ang[a:b], work[angles:angles + b - a])
             sign = None
             if signed:
                 negative = np.less(ang, 0.0).take(odd_rows, axis=0)
@@ -500,9 +548,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
 
     def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
         k = thetas.shape[0]
-        ang = thetas.T * TWO_PI
-        cos_t = np.cos(ang)
-        sin_t = np.sin(ang, out=ang)
+        cos_t = np.empty((m, k)) if coords else None
         la = np.empty(k)
         sign = np.empty(k) if signed else None
         # Reused by every block: fresh arrays of this size cost page faults.
@@ -510,11 +556,13 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         width = min(k, block)
         tables = np.empty((2, 2, 1 << (m - h), width))
         tables[0, :, 0], tables[1, :, 0] = 1.0, 0.0  # the empty subset, never overwritten
+        # Also the scratch of the block's coordinate cos and sin: 2^(m-h) >= m rows.
         scratch = np.empty((2, 1 << (m - h - 1), width))
+        trig = np.empty((2, m, width))  # the block's coordinate cos and sin
         neg = np.empty((n_odd, width), dtype=bool)
         parity = np.empty(width, dtype=bool)
-        # Each level's rows of coordinate cos and sin over the batch.
-        coord_rows = [(cos_t[c, None], sin_t[c, None]) for _, c, _, _ in levels]
+        # Each level's rows of coordinate cos and sin.
+        coord_rows = [(trig[0, c, None], trig[1, c, None]) for _, c, _, _ in levels]
 
         def step_views(points: int) -> Tuple[np.ndarray, ...]:
             # c, s and tmp, (types, points); c's odd types and transpose;
@@ -523,13 +571,15 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             return c, s, tmp, c[:n_odd], c.T, flat[1, :types * points].reshape(points, types)
 
         def block_views(w: int) -> tuple:
-            # For a block of w points: each level's operand and output views
-            # of the tables, each step's table columns, negative flags and
-            # step_views, and the flags and parity of the whole block.
+            # For a block of w points: its coordinate cos, sin and their
+            # scratch; each level's coordinate rows and operand and output
+            # views of the tables; each step's table columns, negative flags
+            # and step_views; and the flags and parity of the whole block.
             c_tab, s_tab = tables[..., :w]
             tmp = scratch[..., :w]
-            ops = [(c_tab[hv, old], s_tab[hv, old], c_tab[hv, new], s_tab[hv, new], tmp[hv, old])
-                   for hv, _, old, new in levels]
+            ops = [(ci[..., :w], si[..., :w], c_tab[hv, old], s_tab[hv, old], c_tab[hv, new],
+                    s_tab[hv, new], tmp[hv, old])
+                   for (ci, si), (hv, _, old, new) in zip(coord_rows, levels)]
             (ca, cb), (sa, sb) = c_tab, s_tab
             steps = []
             for b in range(0, w, step):
@@ -537,7 +587,8 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                 points = cols.stop - b
                 steps.append((ca[:, cols], cb[:, cols], sa[:, cols], sb[:, cols], neg[:, cols])
                              + (full if points == size else step_views(points)))
-            return ops, steps, neg[:, :w], parity[:w]
+            trig_w = (*trig[..., :w], scratch.reshape(1 << (m - h), width)[:m, :w])
+            return trig_w, ops, steps, neg[:, :w], parity[:w]
         size = min(k, step)
         full = step_views(size)
         full_block = block_views(width)
@@ -548,10 +599,13 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         with np.errstate(divide="ignore"):
             for t in range(0, k, block):
                 w = min(block, k - t)
-                ops, steps, neg_w, parity_w = full_block if w == width else block_views(w)
+                (cos_w, sin_w, trig_tmp), ops, steps, neg_w, parity_w = (
+                    full_block if w == width else block_views(w))
                 span = slice(t, t + w)
-                for (cl, sl), (c_old, s_old, c_new, s_new, tmp) in zip(coord_rows, ops):
-                    ci, si = cl[:, :, span], sl[:, :, span]
+                _cos_turns(thetas[span].T, cos_w, trig_tmp, sin_w)
+                if coords:
+                    cos_t[:, span] = cos_w
+                for ci, si, c_old, s_old, c_new, s_new, tmp in ops:
                     np.multiply(c_old, ci, c_new)
                     np.subtract(c_new, np.multiply(s_old, si, tmp), c_new)
                     np.multiply(s_old, ci, s_new)

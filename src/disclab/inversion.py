@@ -25,6 +25,7 @@ from .fourier import (
     Estimate,
     FarRegionReport,
     Region,
+    _cos_turns,
     _exp_clamped,
     dhat_log_abs_batch,
     far_region_integral,
@@ -169,8 +170,11 @@ def prob_fourier_mc(
 
     def integrand(pts: np.ndarray) -> np.ndarray:
         x = xhat_batch(A, smoothing, pts)
-        # At lambda = 0 the character is cos(0) = 1 exactly: skipped.
-        return x * np.cos(TWO_PI * (pts @ target)) if target.any() else x
+        if not target.any():  # at lambda = 0 the character is cos(0) = 1 exactly
+            return x
+        character = pts @ target
+        _cos_turns(character, character, np.empty_like(character))
+        return np.multiply(x, character, out=x)
 
     return integrate_mc(
         integrand,

@@ -72,12 +72,29 @@ def test_dhat_partial_monotone_and_edges():
         dl.dhat_partial(A, th, 31)
 
 
-def _column_product(bits, theta, cos=math.cos):
+def _cos_turns(x):
+    """The kernel's cos(2 pi x) for x in turns, written out: t = tan(pi r) of
+    the exact reduction r = x - rint(x), then 1 - 2 t^2 / (1 + t^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.tan(np.pi * (x - np.rint(x)))
+    t2 = t * t
+    return 1.0 - (t2 + t2) / (1.0 + t2)
+
+
+def _sin_turns(x):
+    """The kernel's sin(2 pi x) for x in turns: 2 t / (1 + t^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.tan(np.pi * (x - np.rint(x)))
+    return (t + t) / (1.0 + t * t)
+
+
+def _column_product(bits, theta):
     """Reference: (prod_j f_j, sum_j log|f_j|) with f_j = cos(2 pi <A^j, theta>),
-    one column at a time."""
+    one column at a time, each factor from its angle in turns by the
+    kernel's cosine."""
+    turns = [sum(theta[i] * bits[i][j] for i in range(len(bits))) for j in range(len(bits[0]))]
     prod, log_abs = 1.0, 0.0
-    for j in range(len(bits[0])):
-        f = cos(2 * math.pi * sum(theta[i] * bits[i][j] for i in range(len(bits))))
+    for f in _cos_turns(turns).tolist():
         prod *= f
         log_abs += math.log(abs(f)) if f != 0.0 else -math.inf
     return prod, log_abs
@@ -114,24 +131,22 @@ def test_kernel_matches_column_product_with_repeated_columns(reps):
 
 
 def test_kernel_exactly_zero_factor(monkeypatch):
-    # No double argument makes cos return exactly 0.0, so near-zeros are
-    # rounded to zero in the kernel and in the reference alike.
-    real_cos = np.cos
+    # tan(pi / 4) rounds below one, so the kernel's cosine of a quarter turn
+    # is not exactly 0.0: tangents within 1e-12 of +-1 are rounded to +-1,
+    # whose cosine is 0.0, in the kernel and in the reference alike.
+    real_tan = np.tan
 
-    def cos_with_zeros(x, *args, **kwargs):
-        out = real_cos(x, *args, **kwargs)
-        out[np.abs(out) < 1e-12] = 0.0
+    def tan_with_ones(x, *args, **kwargs):
+        out = real_tan(x, *args, **kwargs)
+        near = np.abs(np.abs(out) - 1.0) < 1e-12
+        out[near] = np.sign(out[near])
         return out
 
-    def ref_cos(x):
-        f = math.cos(x)
-        return 0.0 if abs(f) < 1e-12 else f
-
-    monkeypatch.setattr(np, "cos", cos_with_zeros)
+    monkeypatch.setattr(np, "tan", tan_with_ones)
     for reps in ((2, 3, 1, 1), (40, 41, 7, 2)):
         A = _repeated_columns(reps)
         th = np.array([0.25, 0.1])  # every (1, 0) column has factor cos(pi / 2)
-        prod, log_abs = _column_product(A.bits.tolist(), th, ref_cos)
+        prod, log_abs = _column_product(A.bits.tolist(), th)
         assert prod == 0.0 and log_abs == -math.inf
         assert fr.dhat_batch(A, th[None, :])[0] == 0.0
         assert dl.dhat(A, th) == 0.0
@@ -154,11 +169,15 @@ def test_kernel_clamps_far_from_origin():
         d = dl.dhat(A, th)
         assert abs(d) == floor
         assert math.copysign(1.0, d) == math.copysign(1.0, prod)
-        assert dl.dhat_partial(A, th, A.n) == floor
+        # dhat_partial takes the 1500 raw columns, so the angle-addition
+        # path. At the second point -0.45 + 0.2 is exactly -1/4, and that
+        # path's factor cos(2 pi 0.2) cos(2 pi 0.45) - sin(2 pi 0.2) sin(2 pi
+        # 0.45) comes out exactly zero.
+        assert dl.dhat_partial(A, th, A.n) == (floor if th[0] == 0.2 else 0.0)
 
 
 # Instances on either path of the transform kernel: 54 column types (one
-# libm cos per type) and 147 (angle-addition tables), both with odd and
+# cosine per type) and 147 (angle-addition tables), both with odd and
 # even multiplicities.
 LIBM_INSTANCE, TABLE_INSTANCE = (8, 60, 2), (8, 200, 2)
 
@@ -229,6 +248,33 @@ def test_table_kernel_error_on_cube(monkeypatch):
     libm = np.abs(fr.dhat_log_abs_batch(A, th) - ref).astype(np.float64)
     assert (table / kappa).max() <= 4 * (libm / kappa).max()
     assert np.median(table) <= 4 * np.median(libm)
+
+
+@pytest.mark.parametrize("m, n, seed", [(2, 300, 1), (4, 400, 2), (8, 533, 3), (10, 922, 5)])
+def test_kernel_accuracy_against_long_double_column_product(m, n, seed):
+    # An oracle that shares none of the kernel's rounding: each column
+    # type's angle and cosine in long double, after the same exact turn
+    # reduction, and the weighted sum of log|cos|. Near the origin (within
+    # 0.01) log|dhat| must be within 1e-12; on the cube its error must be
+    # within 8 eps of the conditioning sum_v counts[v] / |cos_v|.
+    if np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision:
+        pytest.skip("long double is no wider than double on this platform")
+    A = dl.sample_bernoulli(m, n, 0.5, seed)
+    V, counts = A.column_types
+    assert (V.shape[1] >= fr.TABLE_MIN_TYPES) == (m >= 8)  # table path at m = 8, 10
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    eps = np.finfo(np.float64).eps
+    for near, th in ((True, fr.Region.origin_ball(m, 0.01).sample(stream(53, m), 2000)),
+                     (False, fr.Region.full_cube(m).sample(stream(54, m), 4000))):
+        turns = th.astype(np.longdouble) @ V.astype(np.longdouble)
+        cos = np.cos(two_pi * (turns - np.rint(turns)))
+        ref = (np.log(np.abs(cos)) * counts).sum(axis=1)
+        err = np.abs(fr.dhat_log_abs_batch(A, th) - ref).astype(np.float64)
+        if near:
+            assert err.max() <= 1e-12, (m, err.max())
+        else:
+            kappa = (counts / np.abs(cos)).sum(axis=1).astype(np.float64)
+            assert (err / kappa).max() <= 8 * eps, (m, (err / kappa).max() / eps)
 
 
 def test_prob_fourier_mc_independent_of_kernel_chunk(monkeypatch):
@@ -768,8 +814,7 @@ def _einsum_rows(V, counts, signed, thetas):
     the reference: one cos per column type (the zero type's too), the
     sign from a count of the odd types' negative factors, and a row sum."""
     odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-    c = np.einsum("bi,ik->bk", thetas, V)
-    np.cos(np.multiply(c, fr.TWO_PI, out=c), out=c)
+    c = _cos_turns(np.einsum("bi,ik->bk", thetas, V))
     sign = None
     if signed:
         sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
@@ -807,8 +852,7 @@ def _table_rows(V, counts, thetas):
         return c, s
 
     k = thetas.shape[0]
-    ang = thetas.T * fr.TWO_PI
-    cos_t, sin_t = np.cos(ang), np.sin(ang)
+    cos_t, sin_t = _cos_turns(thetas.T), _sin_turns(thetas.T)
     ca, sa = half_table(cos_t[:h], sin_t[:h])
     cb, sb = half_table(cos_t[h:], sin_t[h:])
     la, sign = np.empty(k), np.empty(k)
@@ -851,9 +895,7 @@ def _per_step_sign_rows(V, counts, signed, thetas, coords=False):
             s[new] += np.multiply(c[old], si, out=tmp)
 
     k = thetas.shape[0]
-    ang = thetas.T * fr.TWO_PI
-    cos_t = np.cos(ang)
-    sin_t = np.sin(ang, out=ang)
+    cos_t, sin_t = _cos_turns(thetas.T), _sin_turns(thetas.T)
     la = np.empty(k)
     sign = np.empty(k) if signed else None
     flat = np.empty((3, types * min(k, step)))
@@ -886,9 +928,7 @@ def _per_step_sign_rows(V, counts, signed, thetas, coords=False):
 
 def _reference_xhat(A, smoothing, pts):
     la, sign = _einsum_rows(*A.column_types, True, pts)
-    if isinstance(smoothing, dl.ParitySmoother):
-        return fr._exp_clamped(la, sign) * dl.parity_rhat(smoothing, pts)
-    return fr._exp_clamped(la, sign) * dl.rhat_md(smoothing.delta, pts)
+    return fr._exp_clamped(la, sign) * smoothing.rhat_of_cos(_cos_turns(pts))
 
 
 def _random_types(rng, m, types, zero, missing):
@@ -932,7 +972,7 @@ def test_libm_kernel_matches_einsum_reference_bitwise(m):
                 assert (sign is None) == (not signed)
                 if signed:
                     assert _hex(sign) == _hex(ref_sign), (m, types, k)
-                assert _hex(cos_t) == _hex(np.cos(fr.TWO_PI * th))
+                assert _hex(cos_t) == _hex(_cos_turns(th))
                 no_coords = fr._kernel(V, counts, signed)(th)
                 assert no_coords[2] is None and _hex(no_coords[0]) == _hex(la)
 
@@ -970,6 +1010,31 @@ def test_libm_kernel_blocks_keep_the_bits(monkeypatch):
         assert got == expected, chunk
 
 
+def test_cos_turns_exact_values_and_bounds():
+    # In place or not, with or without sin, and against the test-side
+    # formula bit for bit: exact at whole and half turns, |cos| <= 1 as
+    # rounded, NaN for a non-finite turn, and within 1e-15 of libm.
+    x = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -3.0, 2.5, 1e15 + 0.5, np.inf, -np.inf, np.nan])
+    rng = stream(55)
+    x = np.concatenate([x, rng.random(10 ** 5) - 0.5, (rng.random(10 ** 4) - 0.5) * 10.0 ** 6])
+    cos, sin, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf)
+        fr._cos_turns(x, cos, tmp)
+        assert _hex(cos) == _hex(_cos_turns(x))
+        fr._cos_turns(x, cos, tmp, sin)
+        assert _hex(cos) == _hex(_cos_turns(x)) and _hex(sin) == _hex(_sin_turns(x))
+        inplace = x.copy()
+        fr._cos_turns(inplace, inplace, tmp)
+    assert _hex(inplace) == _hex(cos)
+    assert cos[:8].tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
+    assert np.isnan(cos[8:11]).all() and np.isnan(sin[8:11]).all()
+    finite = np.isfinite(x)
+    assert (np.abs(cos[finite]) <= 1.0).all()
+    reduced = x[finite] - np.rint(x[finite])
+    assert np.abs(cos[finite] - np.cos(2 * np.pi * reduced)).max() <= 1e-15
+    assert np.abs(sin[finite] - np.sin(2 * np.pi * reduced)).max() <= 1e-15
+
+
 def test_sum_rows_replays_numpy_row_sum():
     rng = stream(43)
     for n in range(0, 301):
@@ -987,9 +1052,9 @@ def test_table_kernel_hands_back_coordinate_cosines():
     V, counts = A.column_types
     assert V.shape[1] >= fr.TABLE_MIN_TYPES
     th = _points(stream(45), 300, m)
-    assert _hex(fr._kernel(V, counts, True)(th, coords=True)[2]) == _hex(np.cos(fr.TWO_PI * th))
+    assert _hex(fr._kernel(V, counts, True)(th, coords=True)[2]) == _hex(_cos_turns(th))
     s = dl.build_pmf(2)
-    assert _hex(fr.xhat_batch(A, s, th)) == _hex(fr.dhat_batch(A, th) * dl.rhat_md(2, th))
+    assert _hex(fr.xhat_batch(A, s, th)) == _hex(fr.dhat_batch(A, th) * s.rhat_of_cos(_cos_turns(th)))
 
 
 # -- the angle-addition path against its whole-batch reference, bit for bit -------
@@ -1161,11 +1226,11 @@ def test_samplers_and_lattice_distance_keep_the_bits():
 
 
 def test_table_kernel_working_set_does_not_grow_with_the_slice(monkeypatch):
-    # One slice of 16384 points at m = 10 on one thread. The half tables are
-    # built per block of points, so the traced peak of the call stays within
-    # the slice's O(m k) arrays (the angles, reused for the sines, and the
-    # cosines; the points and the result are k-sized or the caller's) plus
-    # a few TABLE_CHUNK buffers. Tables over the whole slice would need
+    # One slice of 16384 points at m = 10 on one thread. The half tables and
+    # the coordinate cos and sin are built per block of points, so the
+    # traced peak of the call stays within the slice's O(m k) arrays (none
+    # without coords; the points and the result are k-sized or the
+    # caller's) plus a few TABLE_CHUNK buffers. Tables over the whole slice would need
     # 2 (2^5 + 2^5) k doubles, 16.8 MB, on their own.
     import tracemalloc
     A = _wide_instance()
@@ -1199,7 +1264,7 @@ def _old_far(A, delta, samples, seed, inc):
         la = _einsum_rows(*A.column_types, False, pts)[0]
         if inc is not None:
             with np.errstate(divide="ignore"):
-                la = la + inc * np.log(0.5 + 0.5 * np.cos(fr.TWO_PI * pts)).sum(axis=1)
+                la = la + inc * np.log(0.5 + 0.5 * _cos_turns(pts)).sum(axis=1)
         finite = la[la > -math.inf]
         if finite.size:
             fmax = max(lse[0], float(finite.max()))
@@ -1229,7 +1294,7 @@ def test_integrands_match_einsum_reference_bitwise(shape):
     for lam in ([0] * m, [1] + [0] * (m - 1)):
         target = np.array(lam, dtype=np.float64)
         ref = dl.integrate_mc(
-            lambda p: _reference_xhat(A, s1, p) * np.cos(fr.TWO_PI * (p @ target)),
+            lambda p: _reference_xhat(A, s1, p) * _cos_turns(p @ target),
             fr.Region.full_cube(m), 3000, 5)
         assert dl.prob_fourier_mc(A, s1, lam, 3000, 5) == ref
     assert dl.prob_even_variant(A, 2000, 8) == dl.integrate_mc(
@@ -1243,7 +1308,7 @@ def test_integrands_match_einsum_reference_bitwise(shape):
         ball = fr.Region.origin_ball(m, asm.radius)
 
         def shifted_rhat_sum(pts):
-            half_cos = 0.5 * np.cos(fr.TWO_PI * pts)
+            half_cos = 0.5 * _cos_turns(pts)
             g0 = (0.5 + half_cos) ** delta
             gh = (0.5 - half_cos) ** delta
             return _row_product(g0 + 2.0 * gh) - _row_product(g0)

@@ -338,6 +338,38 @@ def test_cli_malformed_vector_is_usage_error(tmp_path, capsys, args):
     assert captured.out == ""
 
 
+def test_cli_invert_default_lambda_is_the_zero_vector(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    A = dl.sample_bernoulli(3, 12, 0.5, 4)
+    A.save(inst)
+    base = ["invert", "--in", str(inst), "--samples", "2000", "--seed", "5", "--exact"]
+    code, out = run_cli(base, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambda"] == [0, 0, 0]
+    assert payload["exact"] == str(dl.prob_exact(A, dl.build_pmf(1), [0, 0, 0]))
+    code, explicit = run_cli(base + ["--lambda", "0,0,0"], capsys)
+    assert code == 0 and json.loads(explicit) == payload
+
+
+@pytest.mark.parametrize("args, message", [
+    (["invert", "--lambda", "99999999999999999999,0,0", "--samples", "100"],
+     "could not parse vector"),
+    (["fourier", "eval", "--theta", "nan,0,0"], "non-finite coordinate"),
+    (["fourier", "eval", "--theta", "0,inf,0"], "non-finite coordinate"),
+    (["fourier", "eval", "--theta", "0,0,-1e999", "--delta", "1"], "non-finite coordinate"),
+])
+def test_cli_out_of_range_vector_is_usage_error(tmp_path, capsys, args, message):
+    inst = tmp_path / "inst.json"
+    dl.sample_bernoulli(3, 12, 0.5, 4).save(inst)
+    code = main(args + ["--in", str(inst)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _one_error_line(captured.err), captured.err
+    assert message in captured.err
+    assert captured.out == ""
+
+
 _GOOD = IncidenceMatrix([[1, 0, 1], [0, 1, 1]]).to_dict()
 
 
