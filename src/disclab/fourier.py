@@ -55,6 +55,9 @@ interpreter lock back: on 2 vCPUs (Xeon, numpy 2.4), `xhat_batch` on
 as fast on two threads as on one on the angle-addition path (45 and
 99 ms on two) and 1.77-1.89 times on the libm path, while two processes
 each running it on one thread were at most 0.6% slower than one alone.
+Those figures were taken with libm's cos. With `_cos_turns`, two threads
+ran the libm path (forced at m = 8 and 10) only 1.2-1.6 times as fast
+as one, in runs too noisy to settle the figure.
 Only the draws run on the pool, not whole blocks: bench/tracing.py starts
 and stops the process-wide `tracemalloc` around each kernel call
 (`dhat_batch`, `dhat_log_abs_batch`, `dhat_partial`), which has crashed
@@ -561,8 +564,6 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         trig = np.empty((2, m, width))  # the block's coordinate cos and sin
         neg = np.empty((n_odd, width), dtype=bool)
         parity = np.empty(width, dtype=bool)
-        # Each level's rows of coordinate cos and sin.
-        coord_rows = [(trig[0, c, None], trig[1, c, None]) for _, c, _, _ in levels]
 
         def step_views(points: int) -> Tuple[np.ndarray, ...]:
             # c, s and tmp, (types, points); c's odd types and transpose;
@@ -575,11 +576,11 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             # scratch; each level's coordinate rows and operand and output
             # views of the tables; each step's table columns, negative flags
             # and step_views; and the flags and parity of the whole block.
+            cos_w, sin_w = trig[..., :w]
             c_tab, s_tab = tables[..., :w]
             tmp = scratch[..., :w]
-            ops = [(ci[..., :w], si[..., :w], c_tab[hv, old], s_tab[hv, old], c_tab[hv, new],
-                    s_tab[hv, new], tmp[hv, old])
-                   for (ci, si), (hv, _, old, new) in zip(coord_rows, levels)]
+            ops = [(cos_w[c, None], sin_w[c, None], c_tab[hv, old], s_tab[hv, old], c_tab[hv, new],
+                    s_tab[hv, new], tmp[hv, old]) for hv, c, old, new in levels]
             (ca, cb), (sa, sb) = c_tab, s_tab
             steps = []
             for b in range(0, w, step):
@@ -587,7 +588,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                 points = cols.stop - b
                 steps.append((ca[:, cols], cb[:, cols], sa[:, cols], sb[:, cols], neg[:, cols])
                              + (full if points == size else step_views(points)))
-            trig_w = (*trig[..., :w], scratch.reshape(1 << (m - h), width)[:m, :w])
+            trig_w = (cos_w, sin_w, scratch.reshape(1 << (m - h), width)[:m, :w])
             return trig_w, ops, steps, neg[:, :w], parity[:w]
         size = min(k, step)
         full = step_views(size)
