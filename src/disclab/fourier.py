@@ -14,20 +14,20 @@ float64 cos and sin with libm one value at a time, but its tan is
 vectorised, so every cosine and sine the kernel takes comes from the
 tangent of the half angle (`_cos_turns`), in turns: on a 2-vCPU Xeon
 with AVX-512 and numpy 2.4, 5-6 ns a value against 13-20 ns for libm's
-cos. With fewer than TABLE_MIN_TYPES column types (T) the kernel takes
-one cosine per distinct nonzero angle, building each type's angle from
-its prefix's (the "libm path", named for the cos it used to take), and
-from there on the factors of a point come from cos and sin tables of the
-subset sums of each half of its coordinates, built by angle addition
-from one cosine and one sine per coordinate instead of T cosines, one
-cache-sized block of points at a time; both halves' tables are stacked
-and built in the same calls, and the sign of a block's points is reduced
-once per block. That path's per-type plan is cached per set of columns
-and its loop views are built once per call, so each of its steps is
-numpy calls alone. The comment on TABLE_MIN_TYPES records the measured
-crossover and why the constant sits above it; `_kernel` gives the
-accuracy of each path, its memory, and why no row depends on the batch
-that holds it.
+cos. The kernel takes whichever of two paths needs fewer values per
+point. When the other path's half tables would hold at least as many
+values per point as there are column types (T), it takes one cosine per
+distinct nonzero angle, building each type's angle from its prefix's
+(the "libm path", named for the cos it used to take). Otherwise the
+factors of a point come from cos and sin tables of the subset sums of
+each half of its coordinates, built by angle addition from one cosine
+and one sine per coordinate instead of T cosines, one cache-sized block
+of points at a time; both halves' tables are stacked and built in the
+same calls, and the sign of a block's points is reduced once per block.
+That path's per-type plan is cached per set of columns and its loop
+views are built once per call, so each of its steps is numpy calls
+alone. `_kernel` gives the measured cost of each path, its accuracy, its
+memory, and why no row depends on the batch that holds it.
 All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
 the one engine: a `Region` (cube, quarter cube or origin ball) draws
@@ -124,19 +124,6 @@ LOG_CLAMP = -745.0
 # kernel and the per-point work around it), summed over all threads: bounds
 # its memory for any n and any core count.
 KERNEL_CHUNK = 1 << 22
-
-# Column types from which the transform kernel builds its factors by angle
-# addition instead of one cosine per distinct angle (see _kernel).
-# Measured with one thread over m = 6..10 (Xeon, AVX-512, numpy 2.4) on
-# 16384 points and random distinct types, the paths alternating: with
-# both paths on `_cos_turns`, the angle-addition path was 1.11-1.90x as
-# fast at every type count it can take (from 32 types at m = 6, 64 at
-# m = 7 and 8), on the cube and within 0.01 of the origin alike, since
-# the cosine costs the same at any angle. So there is no
-# crossover above that smallest count, and the constant is far above it;
-# it stays because a lower one would put the m = 8, 94-type golden entry
-# on the other path's bits.
-TABLE_MIN_TYPES = 128
 
 # Values per block of the libm path of the kernel (its angle and weighted
 # log rows x points), 2 MB. On that Xeon (2 vCPUs, two threads), blocks of
@@ -335,9 +322,10 @@ def _half_table_levels(m: int) -> Tuple[Tuple[slice, slice, slice, slice], ...]:
     Level i writes rows `new` = 2^i..2^(i+1)-1 of `halves` from rows `old`
     = 0..2^i-1 and the (m, k) cos and sin rows `coords` of the coordinates
     it adds: each level covers both halves in the same calls (coordinates
-    i and h + i), and when m is odd a last level covers half 1 alone."""
+    i and h + i), and when m is odd a last level covers half 1 alone. At
+    m = 1 half 0 is its empty subset alone."""
     h = m // 2
-    return tuple((slice(0 if i < h else 1, 2), slice(i if i < h else h + i, h + i + 1, h),
+    return tuple((slice(0 if i < h else 1, 2), slice(i if i < h else h + i, h + i + 1, max(h, 1)),
                   slice(0, 1 << i), slice(1 << i, 2 << i)) for i in range(m - h))
 
 
@@ -384,27 +372,25 @@ def _angle_plan(m: int, types: int, bits: bytes, odd: bytes) -> tuple:
     subsets of that size that those types need as prefixes; then a row of
     ones (the factor of the zero type); and after these `angles` rows, the
     weighted log factors of the types. Returns (angles, steps, cos_runs,
-    type_rows, odd_rows, einsum). Each of `steps` is (start, stop,
+    type_rows, odd_rows). Each of `steps` is (start, stop,
     prefixes, highs): rows start..stop-1, one size, are their prefixes'
     rows (the subset without its highest coordinate) plus the rows of
     those highest coordinates. `cos_runs[coords]` are the runs (a, b) of
     rows whose cos is needed without and with the coordinate cosines;
     `type_rows` gives each column type's row and `odd_rows` the odd
-    types'. A single type of two or more coordinates takes einsum's angle
-    instead (`einsum`), since einsum sums one column in another order.
+    types'.
     """
     cols = np.frombuffer(bits, dtype=bool).reshape(m, types).T.tolist()
     keys = [tuple(i for i, b in enumerate(col) if b) for col in cols]
     wide = {k for k in keys if len(k) > 1}
-    einsum = types == 1 and bool(wide)
-    subsets = set(wide) if einsum else {k[:j] for k in wide for j in range(2, len(k) + 1)}
+    subsets = {k[:j] for k in wide for j in range(2, len(k) + 1)}
     layout = [(i,) for i in range(m)]
     layout += sorted(subsets, key=lambda k: (len(k), k not in wide, k)) + [()]
     row = {k: r for r, k in enumerate(layout)}
     steps = []
     for size in range(2, m + 1):
         block = [r for r, k in enumerate(layout) if len(k) == size]
-        if block and not einsum:
+        if block:
             steps.append((block[0], block[-1] + 1,
                           np.array([row[layout[r][:-1]] for r in block], dtype=np.intp),
                           np.array([layout[r][-1] for r in block], dtype=np.intp)))
@@ -413,8 +399,7 @@ def _angle_plan(m: int, types: int, bits: bytes, odd: bytes) -> tuple:
                 _runs(sorted(set(range(m)) | {row[k] for k in wide})))
     return (len(layout), tuple(steps), cos_runs,
             np.array([row[k] for k in keys], dtype=np.intp),
-            np.array([row[k] for k, o in zip(keys, flags) if o and k], dtype=np.intp),
-            einsum)
+            np.array([row[k] for k, o in zip(keys, flags) if o and k], dtype=np.intp))
 
 
 Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
@@ -428,24 +413,27 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     coordinate cosines cos(2 pi theta_i) (a transposed view), else None.
 
     The factors come from one of two paths, chosen by the number T of
-    column types. Below TABLE_MIN_TYPES the cosines dominate the cost, and
-    the path takes one per distinct nonzero angle, type-major on a
-    (rows, points) array in blocks of at most LIBM_CHUNK values (see
-    _angle_plan). Each subset's angle is its prefix's (the subset without
-    its highest coordinate) plus that coordinate: the left-to-right sum
-    einsum forms for the inner product, so each angle has einsum's bits (a
-    lone type takes einsum's own angle). The zero type's factor is 1, with
+    column types against the 4 2^(m-h) values per point of the stacked
+    half tables below (h = m // 2): the path with fewer values per point.
+    Up to that count the path takes one cosine per distinct nonzero angle,
+    type-major on a (rows, points) array in blocks of at most LIBM_CHUNK
+    values (see _angle_plan). Each subset's angle is its prefix's (the
+    subset without its highest coordinate) plus that coordinate: the
+    left-to-right sum of its coordinates. The zero type's factor is 1, with
     no cosine; coordinates that are no type get one only with coords; the
     sign is the parity of the odd types' negative factors; and the weighted
     log factors are summed in the order numpy sums a row of them
     (`_sum_rows`). So every value is, bit for bit, that of one cosine per
     type and a row sum. The cosines' scratch is the block's log rows, and
     the array holds at least as many of those as the longest run of angles
-    that takes a cosine.
-    From TABLE_MIN_TYPES on, the m coordinates are split into halves of
-    h = m // 2 and m - h. For each half, cos and sin of 2 pi times all
-    subset sums are tabulated by angle addition from one cos and one sin
-    per coordinate, and each type's factor is
+    that takes a cosine. With the table path forced at every m >= 2 on a
+    2-vCPU Xeon (numpy 2.4), the m <= 4 benchmark workload (T <= 16) drew
+    26% fewer Monte Carlo samples a second, prob_fourier_mc at m = 2 took
+    1.56 times as long, and single-point dhat and xhat 1.3-1.9 times.
+    Above that count, the m coordinates are split into halves of h and
+    m - h (at m = 1, half 0 is the empty subset alone). For each half, cos
+    and sin of 2 pi times all subset sums are tabulated by angle addition
+    from one cos and one sin per coordinate, and each type's factor is
     CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
     m cosines and m sines per point instead of T cosines. The types'
     odd-first order, their lo and hi, the number of odd types and the
@@ -490,9 +478,9 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     """
     m, types = V.shape
     h = m // 2
-    if types < TABLE_MIN_TYPES or (4 << (m - h)) > types:
+    if types <= 4 << (m - h):
         odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-        angles, steps, cos_runs, type_rows, odd_rows, einsum = _angle_plan(
+        angles, steps, cos_runs, type_rows, odd_rows = _angle_plan(
             m, types, V.astype(bool).tobytes(), odd.tobytes())
         type_weights = weights[:, None]
         # The log rows are also the cosines' scratch, so there are at least
@@ -506,8 +494,6 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             ang[-1] = 1.0
             for a, b, prefixes, highs in steps:
                 np.add(ang.take(prefixes, axis=0), ang.take(highs, axis=0), out=ang[a:b])
-            if einsum:
-                ang[m] = np.einsum("bi,ik->bk", thetas, V)[:, 0]
             for a, b in cos_runs[coords]:
                 _cos_turns(ang[a:b], ang[a:b], work[angles:angles + b - a])
             sign = None
@@ -988,10 +974,13 @@ def check_quadratic_approx(A: IncidenceMatrix, theta) -> QuadApproxReport:
     K is the calibrated QUAD_K_DEFAULT. Preconditions (|theta|_2 <=
     1/(16 sqrt t), max column frequency <= 4t, dhat > 0) are reported in
     `failures` rather than silently skipped; ok is None when any of them
-    fails.
+    fails. Raises ValueError when t = p m is zero, since the radius
+    1/(16 sqrt t) is then undefined.
     """
     arr = _theta_array(theta)
     t = A.t
+    if t == 0.0:
+        raise ValueError("t = p m is zero: the quadratic approximation has no radius")
     failures = []
     norm_sq = float(arr @ arr)
     if norm_sq > (1.0 / (256.0 * t)) * (1.0 + 1e-12):

@@ -275,7 +275,7 @@ def three_region_assembly(
     if not isinstance(smoothing, SmoothingSpec):
         raise TypeError("assembly expects the width-delta smoother")
     t = A.t
-    radius = 1.0 / (16.0 * math.sqrt(t))
+    radius = 1.0 / (16.0 * math.sqrt(t)) if t > 0.0 else math.inf
     if radius > 0.5:
         raise ValueError("central radius exceeds the cube; t is too small")
 

@@ -176,6 +176,13 @@ def test_kernel_clamps_far_from_origin():
         assert dl.dhat_partial(A, th, A.n) == (floor if th[0] == 0.2 else 0.0)
 
 
+def _gate(m):
+    """The most column types the transform kernel takes one cosine each for:
+    the 4 2^(m - m // 2) values per point of the stacked half tables. Above
+    it, the kernel takes the angle-addition path."""
+    return 4 << (m - m // 2)
+
+
 # Instances on either path of the transform kernel: 54 column types (one
 # cosine per type) and 147 (angle-addition tables), both with odd and
 # even multiplicities.
@@ -186,7 +193,7 @@ def _kernel_instances():
     mats = [dl.sample_bernoulli(m, n, 0.5, seed) for m, n, seed in (LIBM_INSTANCE, TABLE_INSTANCE)]
     types = [A.column_types[1] for A in mats]
     assert types[0].size == 54 and types[1].size == 147
-    assert types[0].size < fr.TABLE_MIN_TYPES <= types[1].size
+    assert types[0].size <= _gate(8) and types[1].size > _gate(8)
     assert all((c % 2 == 1).any() and (c % 2 == 0).any() for c in types)
     return mats
 
@@ -202,7 +209,7 @@ def test_log_abs_kernel_keeps_the_bits_of_abs_dhat():
 def _wide_instance():
     """m = 10, n = ceil(4 m^2 ln m) = 922: 602 column types, table path."""
     A = dl.sample_bernoulli(10, 922, 0.5, 5)
-    assert A.column_types[1].size == 602 >= fr.TABLE_MIN_TYPES
+    assert A.column_types[1].size == 602 and 602 > _gate(10)
     return A
 
 
@@ -220,37 +227,38 @@ def test_table_kernel_near_origin_matches_column_product():
         assert math.exp(la[b]) == pytest.approx(abs(prod), rel=1e-12)
 
 
-def test_table_kernel_error_on_cube(monkeypatch):
+def test_table_kernel_error_on_cube():
     # Against a long double evaluation on 10^4 cube points. The error of
     # log|dhat| is about sum_v counts[v] err_v / |cos_v|, so the worst point
     # is the one with a factor nearest zero, and which path rounds that one
     # factor better is chance. Each point's error is therefore taken in units
     # of its conditioning u sum_v counts[v] / |cos_v|; the table path's worst
-    # must stay within 4 times the libm path's, and so must its median error.
-    # Every sign must be right.
+    # must stay within 4 times the libm path's (its test-side reference,
+    # `_einsum_rows`), and so must its median error. Every sign must be right.
     if np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision:
         pytest.skip("long double is no wider than double on this platform")
     A = _wide_instance()
     V, counts = A.column_types
     th = stream(32).random((10 ** 4, A.m)) - 0.5
     two_pi = 8 * np.arctan(np.longdouble(1))
-    ref, kappa, sign = [], [], []
+    ref, kappa, sign, libm_la = [], [], [], []
     for part in np.array_split(th, 5):
         cos = np.cos(two_pi * (part.astype(np.longdouble) @ V.astype(np.longdouble)))
         ref.append((np.log(np.abs(cos)) * counts).sum(axis=1))
         kappa.append((counts / np.abs(cos)).sum(axis=1).astype(np.float64) * 2.0 ** -53)
         sign.append(1 - 2 * (np.count_nonzero((cos < 0) & (counts % 2 == 1), axis=1) % 2))
-    ref, kappa, sign = (np.concatenate(x) for x in (ref, kappa, sign))
+        libm_la.append(_einsum_rows(V, counts, False, part)[0])
+    ref, kappa, sign, libm_la = (np.concatenate(x) for x in (ref, kappa, sign, libm_la))
     assert (sign < 0).any() and (sign > 0).any()
     assert np.array_equal(np.sign(fr.dhat_batch(A, th)), sign)
     table = np.abs(fr.dhat_log_abs_batch(A, th) - ref).astype(np.float64)
-    monkeypatch.setattr(fr, "TABLE_MIN_TYPES", counts.size + 1)
-    libm = np.abs(fr.dhat_log_abs_batch(A, th) - ref).astype(np.float64)
+    libm = np.abs(libm_la - ref).astype(np.float64)
     assert (table / kappa).max() <= 4 * (libm / kappa).max()
     assert np.median(table) <= 4 * np.median(libm)
 
 
-@pytest.mark.parametrize("m, n, seed", [(2, 300, 1), (4, 400, 2), (8, 533, 3), (10, 922, 5)])
+@pytest.mark.parametrize("m, n, seed", [(2, 300, 1), (4, 400, 2), (6, 259, 1), (8, 533, 3),
+                                        (10, 922, 5)])
 def test_kernel_accuracy_against_long_double_column_product(m, n, seed):
     # An oracle that shares none of the kernel's rounding: each column
     # type's angle and cosine in long double, after the same exact turn
@@ -261,7 +269,7 @@ def test_kernel_accuracy_against_long_double_column_product(m, n, seed):
         pytest.skip("long double is no wider than double on this platform")
     A = dl.sample_bernoulli(m, n, 0.5, seed)
     V, counts = A.column_types
-    assert (V.shape[1] >= fr.TABLE_MIN_TYPES) == (m >= 8)  # table path at m = 8, 10
+    assert (V.shape[1] > _gate(m)) == (m >= 6)  # table path at m = 6, 8, 10
     two_pi = 8 * np.arctan(np.longdouble(1))
     eps = np.finfo(np.float64).eps
     for near, th in ((True, fr.Region.origin_ball(m, 0.01).sample(stream(53, m), 2000)),
@@ -563,6 +571,13 @@ def test_check_quadratic_approx_reports_precondition_failures():
     assert any("theta norm" in f for f in rep.failures)
 
 
+def test_check_quadratic_approx_rejects_zero_t():
+    # p = 0 is a valid instance, but t = p m = 0 leaves no radius 1/(16 sqrt t).
+    A = dl.sample_bernoulli(3, 100, 0.0, 3)
+    with pytest.raises(ValueError, match="t = p m is zero"):
+        fr.check_quadratic_approx(A, [0.001] * 3)
+
+
 def test_one_factor_exact_examples():
     assert fr.one_factor_abs_cos_exact([0.0, 0.0], 0.3) == pytest.approx(1.0)
     v = fr.one_factor_abs_cos_exact([0.25], 0.5)
@@ -812,9 +827,13 @@ def test_integrand_concurrent_callers_do_not_deadlock(monkeypatch):
 def _einsum_rows(V, counts, signed, thetas):
     """The libm path's row function before its type-major rewrite, kept as
     the reference: one cos per column type (the zero type's too), the
-    sign from a count of the odd types' negative factors, and a row sum."""
+    sign from a count of the odd types' negative factors, and a row sum.
+    einsum sums the products of two or more columns left to right, as the
+    kernel forms every angle, but a lone contiguous column's in SIMD
+    order, so V gets a zero column that is dropped again."""
     odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-    c = _cos_turns(np.einsum("bi,ik->bk", thetas, V))
+    wide = np.concatenate([V, np.zeros((V.shape[0], 1))], axis=1)
+    c = _cos_turns(np.einsum("bi,ik->bk", thetas, wide)[:, :V.shape[1]])
     sign = None
     if signed:
         sign = 1.0 - 2.0 * (np.count_nonzero((c < 0.0) & odd, axis=1) & 1)
@@ -955,13 +974,16 @@ def _points(rng, k, m):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_libm_kernel_matches_einsum_reference_bitwise(m):
+    # Type counts up to the table path's gate, the gate's own included.
     rng = stream(40, m)
-    sizes = sorted({1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 127} | {int(rng.integers(1, 128))})
+    gate = _gate(m)
+    sizes = sorted(t for t in {1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 127, gate}
+                   | {int(rng.integers(1, gate + 1))} if t <= gate)
     for types in sizes:
         zero = bool(rng.integers(2))
         missing = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist()
         V, counts = _random_types(rng, m, types, zero, missing)
-        assert V.shape[1] < fr.TABLE_MIN_TYPES
+        assert V.shape[1] <= gate
         pts = _points(rng, 150, m)
         for th in (pts[:1], pts[:5], pts):
             k = len(th)
@@ -979,12 +1001,14 @@ def test_libm_kernel_matches_einsum_reference_bitwise(m):
 
 def test_libm_kernel_repeated_unit_count_columns_bitwise():
     # dhat_partial's case: the first k raw columns, repeats included, each
-    # with count one; also a few wide matrices that stay on the libm path.
+    # with count one, up to the table path's gate; also a few wide matrices
+    # that stay on the libm path.
     rng = stream(41)
     for m, n in ((1, 5), (3, 40), (5, 90), (8, 120), (12, 60)):
         A = dl.sample_bernoulli(m, n, 0.5, int(rng.integers(2 ** 62)))
         th = _points(rng, 50, m)
-        for k in (0, 1, 2, n // 2, n):
+        top = min(n, _gate(m))
+        for k in sorted({0, 1, 2, top // 2, top}):
             V, ones = A.columns_f64[:, :k], np.ones(k, dtype=np.int64)
             la, _, _ = fr._kernel(V, ones, False)(th)
             assert _hex(la) == _hex(_einsum_rows(V, ones, False, th)[0]), (m, n, k)
@@ -997,9 +1021,57 @@ def test_libm_kernel_repeated_unit_count_columns_bitwise():
     assert _hex(la) == _hex(ref_la) and _hex(sign) == _hex(ref_sign)
 
 
+def test_table_kernel_repeated_unit_count_columns_bitwise():
+    # dhat_partial's case above the table path's gate: the first k raw
+    # columns, each with count one, at m = 1 (a half of no coordinates) up to
+    # m = 8, against the table path's reference.
+    rng = stream(56)
+    for m, n in ((1, 40), (2, 30), (3, 40), (5, 90), (8, 120)):
+        A = dl.sample_bernoulli(m, n, 0.5, int(rng.integers(2 ** 62)))
+        th = _points(rng, 50, m)
+        gate = _gate(m)
+        for k in sorted({gate + 1, (gate + n) // 2 + 1, n}):
+            V, ones = A.columns_f64[:, :k], np.ones(k, dtype=np.int64)
+            la, _, _ = fr._kernel(V, ones, False)(th)
+            assert _hex(la) == _hex(_per_step_sign_rows(V, ones, False, th)[0]), (m, n, k)
+            assert dl.dhat_partial(A, th[0], k) == float(
+                fr._exp_clamped(_per_step_sign_rows(V, ones, False, th[:1])[0])[0])
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_kernel_single_wide_type_takes_the_left_to_right_angle(m):
+    # One type of every coordinate, in a contiguous V: the libm path builds
+    # its angle from its prefixes', theta_0 + theta_1, then + theta_2 and so
+    # on, as for any other type; an odd and an even count.
+    V = np.ones((m, 1))
+    assert V.flags.c_contiguous
+    th = _points(stream(57, m), 200, m)
+    angle = th[:, 0].copy()
+    for i in range(1, m):
+        angle = angle + th[:, i]
+    c = _cos_turns(angle)
+    for count in (3, 4):
+        counts = np.array([count])
+        la, sign, _ = fr._kernel(V, counts, True)(th)
+        with np.errstate(divide="ignore"):
+            assert _hex(la) == _hex(np.log(np.abs(c)) * float(count)), (m, count)
+        assert _hex(sign) == _hex(np.where((c < 0.0) & (count % 2 == 1), -1.0, 1.0)), (m, count)
+
+
+def test_dhat_partial_at_one_row_matches_column_product():
+    # At m = 1 half 0 of the angle-addition tables holds no coordinate; the
+    # raw columns take that path from 9 columns on.
+    A = dl.sample_bernoulli(1, 200, 0.5, 1)
+    row = A.bits.tolist()[0]
+    for k in (0, 1, 8, 9, 128, 200):
+        prod = math.prod(math.cos(2 * math.pi * 0.1 * b) for b in row[:k])
+        assert dl.dhat_partial(A, [0.1], k) == pytest.approx(abs(prod), rel=1e-12), k
+
+
 def test_libm_kernel_blocks_keep_the_bits(monkeypatch):
-    A = dl.sample_bernoulli(6, 70, 0.5, 9)
-    th = _points(stream(42), 400, 6)
+    A = dl.sample_bernoulli(5, 70, 0.5, 9)  # 28 types, at most 2^5 = the gate
+    assert A.column_types[1].size <= _gate(5)
+    th = _points(stream(42), 400, 5)
     la, sign = _einsum_rows(*A.column_types, True, th)
     s = dl.build_pmf(2)
     expected = (_hex(fr._exp_clamped(la, sign)), _hex(la), _hex(_reference_xhat(A, s, th)))
@@ -1050,7 +1122,7 @@ def test_table_kernel_hands_back_coordinate_cosines():
     m, n, seed = TABLE_INSTANCE
     A = dl.sample_bernoulli(m, n, 0.5, seed)
     V, counts = A.column_types
-    assert V.shape[1] >= fr.TABLE_MIN_TYPES
+    assert V.shape[1] > _gate(m)
     th = _points(stream(45), 300, m)
     assert _hex(fr._kernel(V, counts, True)(th, coords=True)[2]) == _hex(_cos_turns(th))
     s = dl.build_pmf(2)
@@ -1060,14 +1132,14 @@ def test_table_kernel_hands_back_coordinate_cosines():
 # -- the angle-addition path against its whole-batch reference, bit for bit -------
 
 
-@pytest.mark.parametrize("m", range(7, 13))
+@pytest.mark.parametrize("m", range(6, 13))
 def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
-    # Type counts from the table path's threshold up to 2^m; batch sizes
-    # around one step and one block of half tables, and several blocks with
-    # a ragged tail; the default TABLE_CHUNK and a small one, so that
-    # batches of test size cross block boundaries.
+    # Type counts from the first above the table path's gate up to 2^m;
+    # batch sizes around one step and one block of half tables, and several
+    # blocks with a ragged tail; the default TABLE_CHUNK and a small one, so
+    # that batches of test size cross block boundaries.
     rng = stream(46, m)
-    first = max(fr.TABLE_MIN_TYPES, 4 << (m - m // 2))
+    first = _gate(m) + 1
     for chunk in (fr.TABLE_CHUNK, 1 << 11):
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
         for types in sorted({first, int(rng.integers(first, (1 << m) + 1)), 1 << m}):
@@ -1096,14 +1168,14 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
                     assert no_coords[2] is None and _hex(no_coords[0]) == _hex(la)
 
 
-@pytest.mark.parametrize("m", (8, 9, 10, 11))
+@pytest.mark.parametrize("m", (6, 7, 8, 9, 10, 11))
 def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
     # The stacked tables (one extra level at odd m) and the per-block sign
     # against the loop they replace: no points, one, a step and its
     # neighbours, a partial last block and several blocks; the default
     # TABLE_CHUNK and one small enough for steps of one or two points.
     rng = stream(47, m)
-    first = max(fr.TABLE_MIN_TYPES, 4 << (m - m // 2))
+    first = _gate(m) + 1
     for chunk in (fr.TABLE_CHUNK, 1 << 11):
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
         for types in sorted({first, int(rng.integers(first, (1 << m) + 1))}):
@@ -1133,7 +1205,7 @@ def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypa
     # last block and last step are both ragged; against the per-step sign
     # loop, at the default TABLE_CHUNK and a small one.
     rng = stream(51, m)
-    first = max(fr.TABLE_MIN_TYPES, 4 << (m - m // 2))
+    first = _gate(m) + 1
     V, counts = _random_types(rng, m, int(rng.integers(first, (1 << m) + 1)), True, [])
     counts = {"even": 2 * counts, "odd": 2 * counts + 1, "mixed": counts}[parity]
     types = V.shape[1]
@@ -1155,11 +1227,11 @@ def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypa
                     assert (got[1] == 1.0).all()
 
 
-def test_table_plan_is_cached_but_step_and_path_follow_the_constants(monkeypatch):
+def test_table_plan_is_cached_but_step_and_path_follow_each_kernel(monkeypatch):
     # A matrix's plan (type order, half-table indices, weights) is cached and
     # shared, read-only, by its kernels; the step and block still follow
-    # TABLE_CHUNK and the path TABLE_MIN_TYPES at each kernel built, with the
-    # bits of the path taken.
+    # TABLE_CHUNK at each kernel built, and the path the count of the
+    # kernel's own types, with the bits of the path taken.
     import tracemalloc
     A = _wide_instance()
     V, counts = A.column_types
@@ -1190,14 +1262,16 @@ def test_table_plan_is_cached_but_step_and_path_follow_the_constants(monkeypatch
                                         counts.astype(np.int64).tobytes())
     assert not (lo.flags.writeable or hi.flags.writeable or weights.flags.writeable)
 
-    monkeypatch.setattr(fr, "TABLE_MIN_TYPES", types + 1)
-    la, sign, _ = fr._kernel(V, counts, True)(th)
-    ref_la, ref_sign = _einsum_rows(V, counts, True, th)
+    gate = _gate(A.m)
+    below = (V[:, :gate], counts[:gate])
+    la, sign, _ = fr._kernel(*below, True)(th)
+    ref_la, ref_sign = _einsum_rows(*below, True, th)
     assert _hex(la) == _hex(ref_la) and _hex(sign) == _hex(ref_sign)
-    assert _hex(la) != _hex(table_ref[0])  # the two paths round differently
-    monkeypatch.setattr(fr, "TABLE_MIN_TYPES", types)
-    got = fr._kernel(V, counts, True)(th, coords=True)
-    assert [_hex(g) for g in got] == [_hex(r) for r in table_ref]
+    # the two paths round differently
+    assert _hex(la) != _hex(_per_step_sign_rows(*below, True, th)[0])
+    above = (V[:, :gate + 1], counts[:gate + 1])
+    got = fr._kernel(*above, True)(th, coords=True)
+    assert [_hex(g) for g in got] == [_hex(r) for r in _per_step_sign_rows(*above, True, th, True)]
 
 
 def test_samplers_and_lattice_distance_keep_the_bits():

@@ -244,6 +244,13 @@ def test_three_region_assembly_flags():
     assert rep.far.estimate.value < rep.central.value
 
 
+def test_three_region_assembly_rejects_zero_t():
+    # p = 0: t = p m = 0, so the central radius 1/(16 sqrt t) is unbounded.
+    A = dl.sample_bernoulli(3, 100, 0.0, 3)
+    with pytest.raises(ValueError, match="t is too small"):
+        dl.three_region_assembly(A, S1, 100, 1)
+
+
 def test_three_region_ratio_grows_with_n():
     ratios = []
     for n in (600, 1200, 2400):
