@@ -428,8 +428,8 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     the array holds at least as many of those as the longest run of angles
     that takes a cosine. With the table path forced at every m >= 2 on a
     2-vCPU Xeon (numpy 2.4), the m <= 4 benchmark workload (T <= 16) drew
-    26% fewer Monte Carlo samples a second, prob_fourier_mc at m = 2 took
-    1.56 times as long, and single-point dhat and xhat 1.3-1.9 times.
+    26% fewer Monte Carlo samples a second, and single-point dhat and xhat
+    took 1.3-2.5 times as long.
     Above that count, the m coordinates are split into halves of h and
     m - h (at m = 1, half 0 is the empty subset alone). For each half, cos
     and sin of 2 pi times all subset sums are tabulated by angle addition
