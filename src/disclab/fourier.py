@@ -14,20 +14,23 @@ float64 cos and sin with libm one value at a time, but its tan is
 vectorised, so every cosine and sine the kernel takes comes from the
 tangent of the half angle (`_cos_turns`), in turns: on a 2-vCPU Xeon
 with AVX-512 and numpy 2.4, 5-6 ns a value against 13-20 ns for libm's
-cos. The kernel takes whichever of two paths needs fewer values per
-point. When the other path's half tables would hold at least as many
-values per point as there are column types (T), it takes one cosine per
-distinct nonzero angle, building each type's angle from its prefix's
-(the "libm path", named for the cos it used to take). Otherwise the
-factors of a point come from cos and sin tables of the subset sums of
-each half of its coordinates, built by angle addition from one cosine
-and one sine per coordinate instead of T cosines, one cache-sized block
-of points at a time; both halves' tables are stacked and built in the
-same calls, and the sign of a block's points is reduced once per block.
-That path's per-type plan is cached per set of columns and its loop
-views are built once per call, so each of its steps is numpy calls
-alone. `_kernel` gives the measured cost of each path, its accuracy, its
-memory, and why no row depends on the batch that holds it.
+cos. The kernel has two paths. When neither the 2^m subsets of the
+coordinates nor the column types (T) outnumber the 4 2^(m - m//2)
+values per point of the other path's half tables, which holds only at
+m <= 5, it tabulates the angle of every subset, each the angle of the
+subset without its highest coordinate plus that coordinate, takes one
+cosine per nonzero subset, and reads each type's factor from the row of
+its bit mask (the "libm path", named for the cos it used to take).
+Otherwise the factors of a point come from cos and sin tables of the
+subset sums of each half of its coordinates, built by angle addition
+from one cosine and one sine per coordinate instead of T cosines, one
+cache-sized block of points at a time; both halves' tables are stacked
+and built in the same calls, and the sign of a block's points is
+reduced once per block. That path's loop views are built once per call,
+so each of its steps is numpy calls alone. Neither path caches anything
+between kernels. `_kernel` gives the measured cost of each path, its
+accuracy, its memory, and why no row depends on the batch that holds
+it.
 All integrals here are
 Monte Carlo over the fundamental cube [-1/2, 1/2)^m. `integrate_mc` is
 the one engine: a `Region` (cube, quarter cube or origin ball) draws
@@ -55,9 +58,10 @@ interpreter lock back: on 2 vCPUs (Xeon, numpy 2.4), `xhat_batch` on
 as fast on two threads as on one on the angle-addition path (45 and
 99 ms on two) and 1.77-1.89 times on the libm path, while two processes
 each running it on one thread were at most 0.6% slower than one alone.
-Those figures were taken with libm's cos. With `_cos_turns`, two threads
-ran the libm path (forced at m = 8 and 10) only 1.2-1.6 times as fast
-as one, in runs too noisy to settle the figure.
+Those figures were taken with libm's cos. With `_cos_turns` the libm
+path, now taken only at m <= 5, ran 0.87-1.35 times as fast on two
+threads as on one at m = 2-5 (2^16 points; 0.92-1.22 times with the
+per-type plan it replaced), so there a second thread gains little.
 Only the draws run on the pool, not whole blocks: bench/tracing.py starts
 and stops the process-wide `tracemalloc` around each kernel call
 (`dhat_batch`, `dhat_log_abs_batch`, `dhat_partial`), which has crashed
@@ -72,7 +76,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -125,12 +128,14 @@ LOG_CLAMP = -745.0
 # its memory for any n and any core count.
 KERNEL_CHUNK = 1 << 22
 
-# Values per block of the libm path of the kernel (its angle and weighted
-# log rows x points), 2 MB. On that Xeon (2 vCPUs, two threads), blocks of
-# 2^16 and 2^17 were up to 25% slower (more Python per value, and threads
-# waiting on each other's Python) and 2^19 to 2^20 no faster; one block
-# per slice (8 MB at m = 4) raised the peak RSS of the m <= 4 benchmark
-# workload by 10 MB.
+# Values per block of the libm path of the kernel (its 2^m angle rows and
+# max(T, 2^m) log rows x points), 2 MB. On that Xeon (2 vCPUs), xhat_batch
+# on 2^16 cube points at m = 2-5, with blocks of 2^16 to 2^20 values each
+# in 10 pairs alternating with 2^18: no size was faster in 9 pairs on two
+# threads, nor on one thread at m = 3-5; at m = 2 on one thread 2^16 and
+# 2^17 were 8-10% faster (10 and 9 pairs) but on two threads 7% slower
+# (9 and 8 pairs). With libm's cos, one block per slice (8 MB at m = 4)
+# raised the peak RSS of the m <= 4 benchmark workload by 10 MB.
 LIBM_CHUNK = 1 << 18
 
 # Points x column types per step of the angle-addition path: its three
@@ -329,79 +334,6 @@ def _half_table_levels(m: int) -> Tuple[Tuple[slice, slice, slice, slice], ...]:
                   slice(0, 1 << i), slice(1 << i, 2 << i)) for i in range(m - h))
 
 
-@lru_cache(maxsize=256)
-def _table_plan(m: int, types: int, bits: bytes, counts: bytes) -> tuple:
-    """The static plan of the angle-addition path of `_kernel` for 0/1
-    columns given as (m, types) bools and their int64 counts: (lo, hi,
-    n_odd, weights), the types in odd-first order as their lo and hi
-    indices into the two half tables, the number of odd types, and the
-    counts as floats in that order. The arrays are read-only, since every
-    kernel of these columns shares them."""
-    V = np.frombuffer(bits, dtype=bool).reshape(m, types)
-    weights = np.frombuffer(counts, dtype=np.int64)
-    odd = (weights & 1).astype(bool)
-    order = np.argsort(~odd, kind="stable")
-    ordered = V[:, order].astype(np.int64)
-    h = m // 2
-    lo = (ordered[:h] << np.arange(h)[:, None]).sum(axis=0)
-    hi = (ordered[h:] << np.arange(m - h)[:, None]).sum(axis=0)
-    weights = weights.astype(np.float64)[order]
-    for a in (lo, hi, weights):
-        a.flags.writeable = False
-    return lo, hi, int(odd.sum()), weights
-
-
-def _runs(rows) -> Tuple[Tuple[int, int], ...]:
-    """Maximal runs (a, b) of consecutive integers in sorted rows."""
-    out = []
-    for r in rows:
-        if out and out[-1][1] == r:
-            out[-1][1] = r + 1
-        else:
-            out.append([r, r + 1])
-    return tuple((a, b) for a, b in out)
-
-
-@lru_cache(maxsize=256)
-def _angle_plan(m: int, types: int, bits: bytes, odd: bytes) -> tuple:
-    """The work array of the libm path of `_kernel` for 0/1 columns given as
-    (m, types) bools and their odd flags, one row per angle.
-
-    Rows 0..m-1 hold the coordinates. Then come, for each size from 2 to
-    m, the distinct column types of that many coordinates and the other
-    subsets of that size that those types need as prefixes; then a row of
-    ones (the factor of the zero type); and after these `angles` rows, the
-    weighted log factors of the types. Returns (angles, steps, cos_runs,
-    type_rows, odd_rows). Each of `steps` is (start, stop,
-    prefixes, highs): rows start..stop-1, one size, are their prefixes'
-    rows (the subset without its highest coordinate) plus the rows of
-    those highest coordinates. `cos_runs[coords]` are the runs (a, b) of
-    rows whose cos is needed without and with the coordinate cosines;
-    `type_rows` gives each column type's row and `odd_rows` the odd
-    types'.
-    """
-    cols = np.frombuffer(bits, dtype=bool).reshape(m, types).T.tolist()
-    keys = [tuple(i for i, b in enumerate(col) if b) for col in cols]
-    wide = {k for k in keys if len(k) > 1}
-    subsets = {k[:j] for k in wide for j in range(2, len(k) + 1)}
-    layout = [(i,) for i in range(m)]
-    layout += sorted(subsets, key=lambda k: (len(k), k not in wide, k)) + [()]
-    row = {k: r for r, k in enumerate(layout)}
-    steps = []
-    for size in range(2, m + 1):
-        block = [r for r, k in enumerate(layout) if len(k) == size]
-        if block:
-            steps.append((block[0], block[-1] + 1,
-                          np.array([row[layout[r][:-1]] for r in block], dtype=np.intp),
-                          np.array([layout[r][-1] for r in block], dtype=np.intp)))
-    flags = np.frombuffer(odd, dtype=bool)
-    cos_runs = (_runs(sorted(row[k] for k in set(keys) if k)),
-                _runs(sorted(set(range(m)) | {row[k] for k in wide})))
-    return (len(layout), tuple(steps), cos_runs,
-            np.array([row[k] for k in keys], dtype=np.intp),
-            np.array([row[k] for k, o in zip(keys, flags) if o and k], dtype=np.intp))
-
-
 Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 
@@ -412,33 +344,46 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     the sign is None otherwise. With coords, rows also returns the (k, m)
     coordinate cosines cos(2 pi theta_i) (a transposed view), else None.
 
-    The factors come from one of two paths, chosen by the number T of
-    column types against the 4 2^(m-h) values per point of the stacked
-    half tables below (h = m // 2): the path with fewer values per point.
-    Up to that count the path takes one cosine per distinct nonzero angle,
-    type-major on a (rows, points) array in blocks of at most LIBM_CHUNK
-    values (see _angle_plan). Each subset's angle is its prefix's (the
-    subset without its highest coordinate) plus that coordinate: the
-    left-to-right sum of its coordinates. The zero type's factor is 1, with
-    no cosine; coordinates that are no type get one only with coords; the
-    sign is the parity of the odd types' negative factors; and the weighted
-    log factors are summed in the order numpy sums a row of them
+    The factors come from one of two paths. The first is taken when
+    neither the 2^m subsets of the coordinates nor the T column types
+    outnumber the 4 2^(m-h) values per point of the stacked half tables
+    below (h = m // 2), max(T, 2^m) <= 4 2^(m-h), which holds only at
+    m <= 5. It tabulates the angles of all 2^m subsets, type-major on a
+    (rows, points) array in blocks of at most LIBM_CHUNK values: row S, a
+    bit mask, is row S - 2^i plus coordinate i, i the highest bit of S, so
+    the table doubles once per coordinate and each subset's angle is the
+    left-to-right sum of its coordinates. It takes one cosine per nonzero
+    subset (the empty subset's is 1) and reads each type's factor, the odd
+    types' signs and the coordinate cosines from the rows of their masks.
+    The sign is the parity of the odd types' negative factors, and the
+    weighted log factors are summed in the order numpy sums a row of them
     (`_sum_rows`). So every value is, bit for bit, that of one cosine per
-    type and a row sum. The cosines' scratch is the block's log rows, and
-    the array holds at least as many of those as the longest run of angles
-    that takes a cosine. With the table path forced at every m >= 2 on a
-    2-vCPU Xeon (numpy 2.4), the m <= 4 benchmark workload (T <= 16) drew
-    26% fewer Monte Carlo samples a second, and single-point dhat and xhat
-    took 1.3-2.5 times as long.
-    Above that count, the m coordinates are split into halves of h and
-    m - h (at m = 1, half 0 is the empty subset alone). For each half, cos
-    and sin of 2 pi times all subset sums are tabulated by angle addition
-    from one cos and one sin per coordinate, and each type's factor is
-    CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its bits in the two halves:
+    type and a row sum. The cosines' scratch is the block's log rows, of
+    which there are at least 2^m. The cosines of subsets that no type uses
+    cost time: on one thread of a 2-vCPU Xeon (numpy 2.4), 2^16 points
+    with coordinate cosines took 0.96-1.02 times as long as one cosine per
+    type and coordinate where (nearly) every subset is a type, at m = 2-5,
+    and 1.04-1.21 times with 7 of 8 or 10-12 of 16 types. With the table
+    path forced at every m >= 2, the m <= 4 benchmark workload (T <= 16)
+    drew 26% fewer Monte Carlo samples a second, and single-point dhat and
+    xhat took 1.3-2.5 times as long.
+    Otherwise, and so at every m >= 6, the m coordinates are split into
+    halves of h and m - h (at m = 1, half 0 is the empty subset alone).
+    For each half, cos and sin of 2 pi times all subset sums are
+    tabulated by angle addition from one cos and one sin per coordinate,
+    and each type's factor is CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its
+    bits in the two halves:
     m cosines and m sines per point instead of T cosines. The types'
-    odd-first order, their lo and hi, the number of odd types and the
-    ordered weights are cached per set of columns (`_table_plan`); the
-    step and block follow TABLE_CHUNK at each kernel built. Per block of
+    odd-first order, their lo and hi (the low and high bits of their
+    masks), the number of odd types and the ordered weights are computed
+    at each kernel built, with the step and block from TABLE_CHUNK; no
+    kernel keeps anything for the next (about 17 us at m = 8 with 217
+    types, 21-25 us at m = 10 with 604). With few types this path costs
+    more than one cosine per type: on one thread with coordinate cosines
+    at m = 6, 8 and 10, 2^14 points took 2.2-4.6 times as long with 1-4
+    types, 1.5-2.5 with 16, 1.2-1.4 with 32, 0.94-1.10 with 64 and 0.81
+    with 128 (m = 10), and single points 1.2-2.5 times; no benchmark
+    instance has so few types at m >= 6. Per block of
     points, the coordinates' cos and sin are taken into one (2, m, block)
     buffer, with the tables' scratch as theirs, and the tables are built
     into one stacked (2, 2^(m-h), block) buffer each for cos and sin; all
@@ -478,33 +423,32 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     """
     m, types = V.shape
     h = m // 2
-    if types <= 4 << (m - h):
-        odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-        angles, steps, cos_runs, type_rows, odd_rows = _angle_plan(
-            m, types, V.astype(bool).tobytes(), odd.tobytes())
-        type_weights = weights[:, None]
-        # The log rows are also the cosines' scratch, so there are at least
-        # as many as the longest run of angles that takes a cosine.
-        height = angles + max([types] + [b - a for runs in cos_runs for a, b in runs])
+    odd = (counts & 1).astype(bool)
+    masks = ((1 << np.arange(m)) @ V).astype(np.int64)  # each type's bits
+    if max(types, 1 << m) <= 4 << (m - h):
+        subsets = 1 << m
+        odd_rows, coord_rows = masks[odd], 1 << np.arange(m)
+        type_weights = counts.astype(np.float64)[:, None]
+        # The log rows are also the cosines' scratch, so there are at least 2^m.
+        height = subsets + max(types, subsets)
         step = max(1, LIBM_CHUNK // height)
 
         def block(thetas: np.ndarray, work: np.ndarray, coords: bool) -> Rows:
-            ang, logs = work[:angles], work[angles:angles + types]
-            ang[:m] = thetas.T
-            ang[-1] = 1.0
-            for a, b, prefixes, highs in steps:
-                np.add(ang.take(prefixes, axis=0), ang.take(highs, axis=0), out=ang[a:b])
-            for a, b in cos_runs[coords]:
-                _cos_turns(ang[a:b], ang[a:b], work[angles:angles + b - a])
+            ang, logs = work[:subsets], work[subsets:subsets + types]
+            ang[0] = 0.0
+            for i in range(m):
+                np.add(ang[:1 << i], thetas[:, i], out=ang[1 << i:2 << i])
+            _cos_turns(ang[1:], ang[1:], work[subsets + 1:2 * subsets])
+            ang[0] = 1.0  # the empty subset's cosine, as _cos_turns gives it
             sign = None
             if signed:
-                negative = np.less(ang, 0.0).take(odd_rows, axis=0)
+                negative = np.less(ang.take(odd_rows, axis=0), 0.0)
                 sign = np.where(np.logical_xor.reduce(negative, axis=0), -1.0, 1.0)
-            np.take(ang, type_rows, axis=0, out=logs, mode="clip")
+            np.take(ang, masks, axis=0, out=logs, mode="clip")
             with np.errstate(divide="ignore"):
                 np.log(np.abs(logs, out=logs), out=logs)
             logs *= type_weights
-            return _sum_rows(logs), sign, ang[:m].T if coords else None
+            return _sum_rows(logs), sign, ang.take(coord_rows, axis=0).T if coords else None
 
         def rows(thetas: np.ndarray, coords: bool = False) -> Rows:
             k = thetas.shape[0]
@@ -526,11 +470,13 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             return la, sign, cos_t
         return rows
 
-    lo, hi, n_odd, weights = _table_plan(m, types, V.astype(bool).tobytes(),
-                                         counts.astype(np.int64).tobytes())
+    order = np.argsort(~odd, kind="stable")  # odd types first
+    ordered = masks[order]
+    lo, hi = ordered & ((1 << h) - 1), ordered >> h
+    n_odd, weights = int(odd.sum()), counts.astype(np.float64)[order]
     levels = _half_table_levels(m)
     plus_minus = np.array([1.0, -1.0])  # the sign of an even and an odd count of negatives
-    step = max(1, TABLE_CHUNK // types)
+    step = max(1, TABLE_CHUNK // max(types, 1))
     # Points per block of half tables: whole steps, and about 2 TABLE_CHUNK
     # values for the stacked tables, 4 2^(m-h) per point.
     block = max(step, TABLE_CHUNK // (2 << (m - h)) // step * step)

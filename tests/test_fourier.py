@@ -177,23 +177,43 @@ def test_kernel_clamps_far_from_origin():
 
 
 def _gate(m):
-    """The most column types the transform kernel takes one cosine each for:
-    the 4 2^(m - m // 2) values per point of the stacked half tables. Above
-    it, the kernel takes the angle-addition path."""
+    """The 4 2^(m - m // 2) values per point of the transform kernel's
+    stacked half tables."""
     return 4 << (m - m // 2)
 
 
-# Instances on either path of the transform kernel: 54 column types (one
-# cosine per type) and 147 (angle-addition tables), both with odd and
-# even multiplicities.
-LIBM_INSTANCE, TABLE_INSTANCE = (8, 60, 2), (8, 200, 2)
+def _few_types(m, types):
+    """Whether the transform kernel takes its libm path, the table of all
+    2^m subset angles: when neither that table nor the column types
+    outnumber the stacked half tables' values per point, so only at
+    m <= 5. Otherwise it takes the angle-addition path."""
+    return max(types, 1 << m) <= _gate(m)
+
+
+def _first_table_types(m):
+    """The fewest column types (at least one) that take the angle-addition
+    path at m: one from m = 6, else the first above the gate."""
+    return 1 if (1 << m) > _gate(m) else _gate(m) + 1
+
+
+def _reference_rows(V, counts, signed, thetas):
+    """(la, sign) of the test-side reference of the path the kernel takes."""
+    if _few_types(*V.shape):
+        return _einsum_rows(V, counts, signed, thetas)
+    return _per_step_sign_rows(V, counts, signed, thetas)[:2]
+
+
+# Instances on either path of the transform kernel: 29 column types at
+# m = 5 (the subset-angle table) and 147 at m = 8 (angle-addition
+# tables), both with odd and even multiplicities.
+LIBM_INSTANCE, TABLE_INSTANCE = (5, 60, 2), (8, 200, 2)
 
 
 def _kernel_instances():
     mats = [dl.sample_bernoulli(m, n, 0.5, seed) for m, n, seed in (LIBM_INSTANCE, TABLE_INSTANCE)]
     types = [A.column_types[1] for A in mats]
-    assert types[0].size == 54 and types[1].size == 147
-    assert types[0].size <= _gate(8) and types[1].size > _gate(8)
+    assert types[0].size == 29 and types[1].size == 147
+    assert _few_types(5, types[0].size) and not _few_types(8, types[1].size)
     assert all((c % 2 == 1).any() and (c % 2 == 0).any() for c in types)
     return mats
 
@@ -201,8 +221,8 @@ def _kernel_instances():
 def test_log_abs_kernel_keeps_the_bits_of_abs_dhat():
     # dhat_log_abs_batch asks the kernel for no sign; on either path the
     # clamped exp of its values is |dhat_batch| bit for bit.
-    th = stream(12).random((2000, 8)) - 0.5
     for A in _kernel_instances():
+        th = stream(12).random((2000, A.m)) - 0.5
         assert _hex(fr._exp_clamped(fr.dhat_log_abs_batch(A, th))) == _hex(np.abs(fr.dhat_batch(A, th)))
 
 
@@ -291,28 +311,28 @@ def test_prob_fourier_mc_independent_of_kernel_chunk(monkeypatch):
     # instance the same bound also cuts the blocks inside each slice.
     s = dl.build_pmf(1)
     mats = _kernel_instances()
-    base = [dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) for A in mats]
+    base = [dl.prob_fourier_mc(A, s, [0] * A.m, 3000, 11) for A in mats]
     for chunk in (1, 1000, 4099):
         monkeypatch.setattr(fr, "KERNEL_CHUNK", chunk)
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
-        assert [dl.prob_fourier_mc(A, s, [0] * 8, 3000, 11) for A in mats] == base, chunk
+        assert [dl.prob_fourier_mc(A, s, [0] * A.m, 3000, 11) for A in mats] == base, chunk
 
 
 def test_estimates_independent_of_thread_count(monkeypatch):
     # Both kernel instances, with a third of the points on the table one
     # (its per-call set-up is dearer at one row per slice); every batch is
     # split across the pool, over thread counts 1-3 crossed with three chunk
-    # bounds (on the table path also the bound on its blocks). At 54 and 147
+    # bounds (on the table path also the bound on its blocks). At 29 and 147
     # column types the bounds give one-row slices, slices of a few rows, and
     # slices of tens of rows, so each bound slices differently.
     s = dl.build_pmf(1)
 
     def run(A, k):
-        th = stream(5).random((k, 8)) - 0.5
+        th = stream(5).random((k, A.m)) - 0.5
         far = dl.far_region_integral(A, 0.1, k, 4, include_rhat_delta=1)
         asm = dl.three_region_assembly(A, s, 2 * k // 3, 6)
         return (
-            dl.prob_fourier_mc(A, s, [0] * 8, k, 11),
+            dl.prob_fourier_mc(A, s, [0] * A.m, k, 11),
             (far.estimate, far.log_mean),
             (asm.central, asm.near, asm.far.estimate, asm.far.log_mean, asm.witness),
             fr.dhat_batch(A, th).tolist(),
@@ -901,7 +921,7 @@ def _per_step_sign_rows(V, counts, signed, thetas, coords=False):
     lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
     hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
     n_odd, weights = int(odd.sum()), weights[order]
-    step = max(1, fr.TABLE_CHUNK // types)
+    step = max(1, fr.TABLE_CHUNK // max(types, 1))  # no types: the empty product
     block = max(step, fr.TABLE_CHUNK // ((1 << h) + (1 << (m - h))) // step * step)
 
     def half_table(cos_h, sin_h, c, s, scratch):
@@ -946,7 +966,7 @@ def _per_step_sign_rows(V, counts, signed, thetas, coords=False):
 
 
 def _reference_xhat(A, smoothing, pts):
-    la, sign = _einsum_rows(*A.column_types, True, pts)
+    la, sign = _reference_rows(*A.column_types, True, pts)
     return fr._exp_clamped(la, sign) * smoothing.rhat_of_cos(_cos_turns(pts))
 
 
@@ -974,7 +994,9 @@ def _points(rng, k, m):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_libm_kernel_matches_einsum_reference_bitwise(m):
-    # Type counts up to the table path's gate, the gate's own included.
+    # Type counts up to the gate, the gate's own included. Only at m <= 5
+    # do they take the libm path; from m = 6 the same inputs take the
+    # angle-addition path and are checked against its reference.
     rng = stream(40, m)
     gate = _gate(m)
     sizes = sorted(t for t in {1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 127, gate}
@@ -989,7 +1011,8 @@ def test_libm_kernel_matches_einsum_reference_bitwise(m):
             k = len(th)
             for signed in (False, True):
                 la, sign, cos_t = fr._kernel(V, counts, signed)(th, coords=True)
-                ref_la, ref_sign = _einsum_rows(V, counts, signed, th)
+                assert _few_types(m, V.shape[1]) == (m <= 5)
+                ref_la, ref_sign = _reference_rows(V, counts, signed, th)
                 assert _hex(la) == _hex(ref_la), (m, types, k)
                 assert (sign is None) == (not signed)
                 if signed:
@@ -1001,10 +1024,9 @@ def test_libm_kernel_matches_einsum_reference_bitwise(m):
 
 def test_libm_kernel_repeated_unit_count_columns_bitwise():
     # dhat_partial's case: the first k raw columns, repeats included, each
-    # with count one, up to the table path's gate; also a few wide matrices
-    # that stay on the libm path.
+    # with count one, up to the gate, at the m <= 5 that take the libm path.
     rng = stream(41)
-    for m, n in ((1, 5), (3, 40), (5, 90), (8, 120), (12, 60)):
+    for m, n in ((1, 5), (3, 40), (5, 90)):
         A = dl.sample_bernoulli(m, n, 0.5, int(rng.integers(2 ** 62)))
         th = _points(rng, 50, m)
         top = min(n, _gate(m))
@@ -1014,23 +1036,20 @@ def test_libm_kernel_repeated_unit_count_columns_bitwise():
             assert _hex(la) == _hex(_einsum_rows(V, ones, False, th)[0]), (m, n, k)
             assert dl.dhat_partial(A, th[0], k) == float(
                 fr._exp_clamped(_einsum_rows(V, ones, False, th[:1])[0])[0])
-    V, counts = _random_types(rng, 12, 200, True, [3])  # 4 << 6 > 200 types
-    th = _points(rng, 40, 12)
-    la, sign, _ = fr._kernel(V, counts, True)(th)
-    ref_la, ref_sign = _einsum_rows(V, counts, True, th)
-    assert _hex(la) == _hex(ref_la) and _hex(sign) == _hex(ref_sign)
 
 
 def test_table_kernel_repeated_unit_count_columns_bitwise():
-    # dhat_partial's case above the table path's gate: the first k raw
+    # dhat_partial's case on the angle-addition path: the first k raw
     # columns, each with count one, at m = 1 (a half of no coordinates) up to
-    # m = 8, against the table path's reference.
+    # m = 12, against the table path's reference; from m = 6 from no column
+    # on.
     rng = stream(56)
-    for m, n in ((1, 40), (2, 30), (3, 40), (5, 90), (8, 120)):
+    for m, n in ((1, 40), (2, 30), (3, 40), (5, 90), (8, 120), (12, 60)):
         A = dl.sample_bernoulli(m, n, 0.5, int(rng.integers(2 ** 62)))
         th = _points(rng, 50, m)
-        gate = _gate(m)
-        for k in sorted({gate + 1, (gate + n) // 2 + 1, n}):
+        first = 0 if m >= 6 else _gate(m) + 1
+        for k in sorted({first, first + 1, (first + n) // 2 + 1, n}):
+            assert not _few_types(m, k)
             V, ones = A.columns_f64[:, :k], np.ones(k, dtype=np.int64)
             la, _, _ = fr._kernel(V, ones, False)(th)
             assert _hex(la) == _hex(_per_step_sign_rows(V, ones, False, th)[0]), (m, n, k)
@@ -1042,7 +1061,8 @@ def test_table_kernel_repeated_unit_count_columns_bitwise():
 def test_kernel_single_wide_type_takes_the_left_to_right_angle(m):
     # One type of every coordinate, in a contiguous V: the libm path builds
     # its angle from its prefixes', theta_0 + theta_1, then + theta_2 and so
-    # on, as for any other type; an odd and an even count.
+    # on, as for any other subset; an odd and an even count. From m = 6 the
+    # type takes the angle-addition path, checked against its reference.
     V = np.ones((m, 1))
     assert V.flags.c_contiguous
     th = _points(stream(57, m), 200, m)
@@ -1053,6 +1073,10 @@ def test_kernel_single_wide_type_takes_the_left_to_right_angle(m):
     for count in (3, 4):
         counts = np.array([count])
         la, sign, _ = fr._kernel(V, counts, True)(th)
+        if m >= 6:
+            ref = _per_step_sign_rows(V, counts, True, th)
+            assert (_hex(la), _hex(sign)) == (_hex(ref[0]), _hex(ref[1])), (m, count)
+            continue
         with np.errstate(divide="ignore"):
             assert _hex(la) == _hex(np.log(np.abs(c)) * float(count)), (m, count)
         assert _hex(sign) == _hex(np.where((c < 0.0) & (count % 2 == 1), -1.0, 1.0)), (m, count)
@@ -1066,6 +1090,25 @@ def test_dhat_partial_at_one_row_matches_column_product():
     for k in (0, 1, 8, 9, 128, 200):
         prod = math.prod(math.cos(2 * math.pi * 0.1 * b) for b in row[:k])
         assert dl.dhat_partial(A, [0.1], k) == pytest.approx(abs(prod), rel=1e-12), k
+
+
+def test_dhat_partial_sweep_keeps_no_memory():
+    # dhat_partial builds a new column set for every k, so nothing built for
+    # one call may outlive it: a plan cache keyed by the columns once kept
+    # about 0.8 MB a call here and never hit.
+    import tracemalloc
+    A = dl.sample_bernoulli(4, 20000, 0.5, 1)
+    theta = [0.1, -0.2, 0.3, 0.05]
+    dl.dhat_partial(A, theta, 19949)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(19950, 20000):
+            dl.dhat_partial(A, theta, k)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20, grown
 
 
 def test_libm_kernel_blocks_keep_the_bits(monkeypatch):
@@ -1134,14 +1177,16 @@ def test_table_kernel_hands_back_coordinate_cosines():
 
 @pytest.mark.parametrize("m", range(6, 13))
 def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
-    # Type counts from the first above the table path's gate up to 2^m;
-    # batch sizes around one step and one block of half tables, and several
-    # blocks with a ragged tail; the default TABLE_CHUNK and a small one, so
-    # that batches of test size cross block boundaries.
+    # Type counts up to 2^m; batch sizes around one step and one block of
+    # half tables, and several blocks with a ragged tail; the default
+    # TABLE_CHUNK and a small one, so that batches of test size cross block
+    # boundaries. At the small chunk the counts start at one type; at the
+    # default one above the gate, since several steps of one type would
+    # need whole-batch reference tables of up to 470 MB (m = 12).
     rng = stream(46, m)
-    first = _gate(m) + 1
     for chunk in (fr.TABLE_CHUNK, 1 << 11):
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        first = _gate(m) + 1 if chunk == fr.TABLE_CHUNK else _first_table_types(m)
         for types in sorted({first, int(rng.integers(first, (1 << m) + 1)), 1 << m}):
             full = types == 1 << m
             missing = [] if full else rng.choice(m, size=int(rng.integers(0, 3)), replace=False).tolist()
@@ -1149,7 +1194,7 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
             assert V.shape[1] == types
             step = max(1, chunk // types)
             block = max(step, chunk // ((1 << m // 2) + (1 << (m - m // 2))) // step * step)
-            if chunk < fr.TABLE_CHUNK:
+            if chunk < fr.TABLE_CHUNK and types > _gate(m):
                 assert block > step
             sizes = {1, step - 1, step, block - 1, block, block + 1, 3 * block + step // 2 + 1} - {0}
             pts = _points(rng, max(sizes) // 2 + 1, m)
@@ -1173,11 +1218,13 @@ def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
     # The stacked tables (one extra level at odd m) and the per-block sign
     # against the loop they replace: no points, one, a step and its
     # neighbours, a partial last block and several blocks; the default
-    # TABLE_CHUNK and one small enough for steps of one or two points.
+    # TABLE_CHUNK and one small enough for steps of one or two points. At the
+    # small chunk the counts start at one type; at the default one above
+    # the gate, since a few types give steps of tens of thousands of points.
     rng = stream(47, m)
-    first = _gate(m) + 1
     for chunk in (fr.TABLE_CHUNK, 1 << 11):
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
+        first = _gate(m) + 1 if chunk == fr.TABLE_CHUNK else _first_table_types(m)
         for types in sorted({first, int(rng.integers(first, (1 << m) + 1))}):
             V, counts = _random_types(rng, m, types, bool(rng.integers(2)), [])
             step = max(1, chunk // types)
@@ -1203,9 +1250,9 @@ def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypa
     # Every count even (no odd type, so the sign is +1 everywhere), every
     # count odd, and both, at even and odd m; one point, and a batch whose
     # last block and last step are both ragged; against the per-step sign
-    # loop, at the default TABLE_CHUNK and a small one.
+    # loop, at the default TABLE_CHUNK and a small one. From one type on.
     rng = stream(51, m)
-    first = _gate(m) + 1
+    first = _first_table_types(m)
     V, counts = _random_types(rng, m, int(rng.integers(first, (1 << m) + 1)), True, [])
     counts = {"even": 2 * counts, "odd": 2 * counts + 1, "mixed": counts}[parity]
     types = V.shape[1]
@@ -1227,20 +1274,18 @@ def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypa
                     assert (got[1] == 1.0).all()
 
 
-def test_table_plan_is_cached_but_step_and_path_follow_each_kernel(monkeypatch):
-    # A matrix's plan (type order, half-table indices, weights) is cached and
-    # shared, read-only, by its kernels; the step and block still follow
-    # TABLE_CHUNK at each kernel built, and the path the count of the
-    # kernel's own types, with the bits of the path taken.
+def test_kernel_step_and_path_follow_each_kernel(monkeypatch):
+    # The step and block follow TABLE_CHUNK at each kernel built, with the
+    # bits of the path taken. The path follows the rule at its edges: m = 5
+    # with all 32 types and m = 1 with 8 raw columns take the libm path,
+    # m = 5 with 33 raw columns, m = 6 with one (wide) type and m = 1 with 9 raw
+    # columns the angle-addition path (at m = 1 both paths give the same
+    # bits, so the path is told by the half tables it builds).
     import tracemalloc
     A = _wide_instance()
     V, counts = A.column_types
     types = V.shape[1]
     th = _points(stream(52), 1500, A.m)
-    assert fr._table_plan.cache_parameters()["maxsize"] == fr._angle_plan.cache_parameters()[
-        "maxsize"] == 256
-    fr._kernel(V, counts, True)
-    before = fr._table_plan.cache_info()
     table_ref = _per_step_sign_rows(V, counts, True, th, coords=True)
     chunks, peaks = (fr.TABLE_CHUNK, 1 << 11), []
     for chunk in chunks:
@@ -1253,25 +1298,31 @@ def test_table_plan_is_cached_but_step_and_path_follow_each_kernel(monkeypatch):
         finally:
             tracemalloc.stop()
         assert [_hex(g) for g in got] == [_hex(r) for r in table_ref], chunk
-    after = fr._table_plan.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     # The whole call at the small chunk peaks below the three (types, step)
     # buffers of the default step alone.
     assert peaks[1] < 3 * 8 * types * max(1, chunks[0] // types) < peaks[0], peaks
-    lo, hi, _, weights = fr._table_plan(A.m, types, V.astype(bool).tobytes(),
-                                        counts.astype(np.int64).tobytes())
-    assert not (lo.flags.writeable or hi.flags.writeable or weights.flags.writeable)
 
-    gate = _gate(A.m)
-    below = (V[:, :gate], counts[:gate])
-    la, sign, _ = fr._kernel(*below, True)(th)
-    ref_la, ref_sign = _einsum_rows(*below, True, th)
-    assert _hex(la) == _hex(ref_la) and _hex(sign) == _hex(ref_sign)
-    # the two paths round differently
-    assert _hex(la) != _hex(_per_step_sign_rows(*below, True, th)[0])
-    above = (V[:, :gate + 1], counts[:gate + 1])
-    got = fr._kernel(*above, True)(th, coords=True)
-    assert [_hex(g) for g in got] == [_hex(r) for r in _per_step_sign_rows(*above, True, th, True)]
+    levels, built = fr._half_table_levels, []
+    monkeypatch.setattr(fr, "_half_table_levels", lambda m: built.append(m) or levels(m))
+    rng = stream(58)
+    raw1, raw5 = (dl.sample_bernoulli(m, n, 0.5, 3).columns_f64 for m, n in ((1, 9), (5, 33)))
+    edges = [(_random_types(rng, 5, 32, True, []), True),
+             ((raw1[:, :8], np.ones(8, dtype=np.int64)), True),
+             ((raw5, np.ones(33, dtype=np.int64)), False),
+             ((np.ones((6, 1)), np.array([3])), False),
+             ((raw1, np.ones(9, dtype=np.int64)), False)]
+    for (V, counts), few in edges:
+        m, types = V.shape
+        assert _few_types(m, types) == few
+        pts = _points(rng, 300, m)
+        built.clear()
+        la, sign, _ = fr._kernel(V, counts, True)(pts)
+        assert built == ([] if few else [m]), (m, types)
+        ref_la, ref_sign = (_einsum_rows if few else _per_step_sign_rows)(V, counts, True, pts)[:2]
+        assert (_hex(la), _hex(sign)) == (_hex(ref_la), _hex(ref_sign)), (m, types)
+        if m > 1:  # the two paths round differently
+            other = (_per_step_sign_rows if few else _einsum_rows)(V, counts, True, pts)[0]
+            assert _hex(la) != _hex(other), (m, types)
 
 
 def test_samplers_and_lattice_distance_keep_the_bits():
@@ -1335,7 +1386,7 @@ def _old_far(A, delta, samples, seed, inc):
         if not far.any():
             return vals
         pts = pts[far]
-        la = _einsum_rows(*A.column_types, False, pts)[0]
+        la = _reference_rows(*A.column_types, False, pts)[0]
         if inc is not None:
             with np.errstate(divide="ignore"):
                 la = la + inc * np.log(0.5 + 0.5 * _cos_turns(pts)).sum(axis=1)
@@ -1356,7 +1407,9 @@ def test_integrands_match_einsum_reference_bitwise(shape):
     # Each integrand's fused cofactor (xhat with both smoother kinds and
     # several widths, the character, the near shells, the far region's
     # smoother log) against the former separate evaluation, estimate by
-    # estimate, with every batch split across the pool.
+    # estimate, with every batch split across the pool. The kernel's
+    # reference is its path's: einsum at m = 2 and 4, the angle-addition
+    # path's at m = 7.
     from disclab.rng import child_seed
     m, n, seed = shape
     A = dl.sample_bernoulli(m, n, 0.5, seed)
@@ -1388,7 +1441,7 @@ def test_integrands_match_einsum_reference_bitwise(shape):
             return _row_product(g0 + 2.0 * gh) - _row_product(g0)
 
         near = dl.integrate_mc(
-            lambda p: fr._exp_clamped(_einsum_rows(*A.column_types, False, p)[0]) * shifted_rhat_sum(p),
+            lambda p: fr._exp_clamped(_reference_rows(*A.column_types, False, p)[0]) * shifted_rhat_sum(p),
             ball, 2000, child_seed(6, 1))
         assert asm.central == dl.integrate_mc(lambda p: _reference_xhat(A, s, p), ball, 2000,
                                               child_seed(6, 0))

@@ -8,12 +8,16 @@ moves a bit and fails here. The last entry, `asm_central_m10`, was
 recorded later, on an instance with 602 column types. It and the three
 m = 8 entries (`pfm_zero_m8`, `far_m8_*`, 94 types) pin the
 angle-addition path of the transform kernel; the other instances, at
-m <= 4 with at most 16 types, run its per-angle path, one cosine per
-distinct nonzero angle. The entries were re-recorded when the kernel and
-the character of prob_fourier_mc took their cosines from the tangent of
-the half angle instead of libm's cos (each moved by at most 3.9e-15
-relative); cancellation_check still uses libm and its entries did not
-move. The three m = 8 entries were re-recorded again when the kernel
+m <= 4 with at most 16 types, run its libm path. No entry moved when that
+path came to tabulate the angles of all 2^m subsets instead of those of
+the types and their prefixes: each type's angle is still the
+left-to-right sum of its coordinates, each cosine is still `_cos_turns`
+of that angle alone, and the sign and the row sum are taken as before,
+so every factor and every sum keeps its bits. The entries were
+re-recorded when the kernel and the character of prob_fourier_mc took
+their cosines from the tangent of the half angle instead of libm's cos
+(each moved by at most 3.9e-15 relative); cancellation_check still uses
+libm and its entries did not move. The three m = 8 entries were re-recorded again when the kernel
 came to take the angle-addition path whenever its half tables hold
 fewer values per point than there are types (at most 1.5e-14 relative).
 """
