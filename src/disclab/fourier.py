@@ -19,8 +19,9 @@ coordinates nor the column types (T) outnumber the 4 2^(m - m//2)
 values per point of the other path's half tables, which holds only at
 m <= 5, it tabulates the angle of every subset, each the angle of the
 subset without its highest coordinate plus that coordinate, takes one
-cosine per nonzero subset, and reads each type's factor from the row of
-its bit mask (the "libm path", named for the cos it used to take).
+cosine per nonzero subset that is a type (or, when asked, a coordinate),
+and reads each type's factor from the row of its bit mask (the "libm
+path", named for the cos it used to take).
 Otherwise the factors of a point come from cos and sin tables of the
 subset sums of each half of its coordinates, built by angle addition
 from one cosine and one sine per coordinate instead of T cosines, one
@@ -352,21 +353,22 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     (rows, points) array in blocks of at most LIBM_CHUNK values: row S, a
     bit mask, is row S - 2^i plus coordinate i, i the highest bit of S, so
     the table doubles once per coordinate and each subset's angle is the
-    left-to-right sum of its coordinates. It takes one cosine per nonzero
-    subset (the empty subset's is 1) and reads each type's factor, the odd
+    left-to-right sum of its coordinates. It takes cosines in place over
+    the runs of consecutive rows that are nonzero types and, with coords,
+    coordinates (the empty subset's cosine is 1; other rows keep their
+    angles and are never read), and reads each type's factor, the odd
     types' signs and the coordinate cosines from the rows of their masks.
     The sign is the parity of the odd types' negative factors, and the
     weighted log factors are summed in the order numpy sums a row of them
     (`_sum_rows`). So every value is, bit for bit, that of one cosine per
     type and a row sum. The cosines' scratch is the block's log rows, of
-    which there are at least 2^m. The cosines of subsets that no type uses
-    cost time: on one thread of a 2-vCPU Xeon (numpy 2.4), 2^16 points
-    with coordinate cosines took 0.96-1.02 times as long as one cosine per
-    type and coordinate where (nearly) every subset is a type, at m = 2-5,
-    and 1.04-1.21 times with 7 of 8 or 10-12 of 16 types. With the table
-    path forced at every m >= 2, the m <= 4 benchmark workload (T <= 16)
-    drew 26% fewer Monte Carlo samples a second, and single-point dhat and
-    xhat took 1.3-2.5 times as long.
+    which there are at least as many as the longest run. A cosine of every
+    nonzero subset in one run instead cost up to 1.2 times as long at m = 4
+    with 10-12 of 16 types (one thread of a 2-vCPU Xeon, numpy 2.4, 2^16
+    points with coordinate cosines). With the table path forced at every
+    m >= 2, the m <= 4 benchmark workload (T <= 16) drew 26% fewer Monte
+    Carlo samples a second, and single-point dhat and xhat took 1.3-2.5
+    times as long.
     Otherwise, and so at every m >= 6, the m coordinates are split into
     halves of h and m - h (at m = 1, half 0 is the empty subset alone).
     For each half, cos and sin of 2 pi times all subset sums are
@@ -429,8 +431,16 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         subsets = 1 << m
         odd_rows, coord_rows = masks[odd], 1 << np.arange(m)
         type_weights = counts.astype(np.float64)[:, None]
-        # The log rows are also the cosines' scratch, so there are at least 2^m.
-        height = subsets + max(types, subsets)
+        # The runs [a, b) of rows that take a cosine, without and with
+        # coords: the nonzero types' and then also the coordinates'.
+        cos_runs = []
+        for rows in (masks, np.concatenate([masks, coord_rows])):
+            used = np.zeros(subsets + 1, dtype=np.int8)
+            used[rows] = 1
+            used[0] = 0  # the empty subset's cosine is 1
+            cos_runs.append((np.flatnonzero(np.diff(used)) + 1).reshape(-1, 2).tolist())
+        # The log rows are also the cosines' scratch.
+        height = subsets + max([types] + [b - a for runs in cos_runs for a, b in runs])
         step = max(1, LIBM_CHUNK // height)
 
         def block(thetas: np.ndarray, work: np.ndarray, coords: bool) -> Rows:
@@ -438,7 +448,8 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             ang[0] = 0.0
             for i in range(m):
                 np.add(ang[:1 << i], thetas[:, i], out=ang[1 << i:2 << i])
-            _cos_turns(ang[1:], ang[1:], work[subsets + 1:2 * subsets])
+            for a, b in cos_runs[coords]:
+                _cos_turns(ang[a:b], ang[a:b], work[subsets:subsets + b - a])
             ang[0] = 1.0  # the empty subset's cosine, as _cos_turns gives it
             sign = None
             if signed:
