@@ -130,7 +130,7 @@ LOG_CLAMP = -745.0
 KERNEL_CHUNK = 1 << 22
 
 # Values per block of the libm path of the kernel (its 2^m angle rows and
-# max(T, 2^m) log rows x points), 2 MB. On that Xeon (2 vCPUs), xhat_batch
+# at least T log rows x points), 2 MB. On that Xeon (2 vCPUs), xhat_batch
 # on 2^16 cube points at m = 2-5, with blocks of 2^16 to 2^20 values each
 # in 10 pairs alternating with 2^18: no size was faster in 9 pairs on two
 # threads, nor on one thread at m = 3-5; at m = 2 on one thread 2^16 and
