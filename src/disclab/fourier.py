@@ -27,7 +27,10 @@ subset sums of each half of its coordinates, built by angle addition
 from one cosine and one sine per coordinate instead of T cosines, one
 cache-sized block of points at a time; both halves' tables are stacked
 and built in the same calls, and the sign of a block's points is
-reduced once per block. That path's loop views are built once per call,
+reduced once per block. It takes one log per group of LOG_GROUP types
+of one count, of the product of their factors, instead of one per type;
+a group whose product underflows (below 2^-1022) takes the sum of its
+members' logs instead. That path's loop views are built once per call,
 so each of its steps is numpy calls alone. Neither path caches anything
 between kernels. `_kernel` gives the measured cost of each path, its
 accuracy, its memory, and why no row depends on the batch that holds
@@ -59,10 +62,17 @@ interpreter lock back: on 2 vCPUs (Xeon, numpy 2.4), `xhat_batch` on
 as fast on two threads as on one on the angle-addition path (45 and
 99 ms on two) and 1.77-1.89 times on the libm path, while two processes
 each running it on one thread were at most 0.6% slower than one alone.
-Those figures were taken with libm's cos. With `_cos_turns` the libm
-path, now taken only at m <= 5, ran 0.87-1.35 times as fast on two
-threads as on one at m = 2-5 (2^16 points; 0.92-1.22 times with the
-per-type plan it replaced), so there a second thread gains little.
+Those figures were taken with libm's cos, and without the cores used.
+What a second thread gains depends on the host as much as on the code,
+so thread-scaling figures are quoted with the cores used, process CPU
+time over wall time. With one and two workers in alternation (2^17
+points on the libm path at m = 2, 4 and 5; 2^16 on the angle-addition
+path at m = 8 and 10), the same code used 0.9-1.0 cores on two workers in
+some repetitions and 1.6-1.9 in others of the same run, and the mode
+changed between repetitions: at m = 4, n = 18, two workers were 0.8-1.6
+times as fast as one at 0.90-1.00 cores, and 2.0-2.3 times at 1.77-1.86
+cores; at m = 8 and 10, 0.86-0.99 times at 0.93-0.98 cores and
+1.13-1.71 times at 1.65-1.78 cores.
 Only the draws run on the pool, not whole blocks: bench/tracing.py starts
 and stops the process-wide `tracemalloc` around each kernel call
 (`dhat_batch`, `dhat_log_abs_batch`, `dhat_partial`), which has crashed
@@ -139,8 +149,9 @@ KERNEL_CHUNK = 1 << 22
 # raised the peak RSS of the m <= 4 benchmark workload by 10 MB.
 LIBM_CHUNK = 1 << 18
 
-# Points x column types per step of the angle-addition path: its three
-# (types, points) arrays, 1.5 MB, fit a 2 MB L2 cache. The path's stacked
+# Points x gathered rows (LOG_GROUP per group of types, so at least the
+# column types) per step of the angle-addition path: its three
+# (rows, points) arrays, 1.5 MB, fit a 2 MB L2 cache. The path's stacked
 # half tables are built per block of whole steps holding about
 # 2 TABLE_CHUNK values, 1 MB, so they stay in that cache too (about 970
 # points at m = 10, 2020 at m = 8). On that Xeon with two threads, one
@@ -155,6 +166,22 @@ LIBM_CHUNK = 1 << 18
 # and 1.15 (m = 10) times as long on one thread, and the peak RSS of that
 # workload was 7 MB higher.
 TABLE_CHUNK = 1 << 16
+
+# Column types of one count whose factors the angle-addition path multiplies
+# before it takes one log of their product. On that Xeon, one thread,
+# xhat_batch on 2^14 cube points at m = 6, 8 and 10 (n = 259, 533, 922;
+# 62, 220 and 602 types of 8, 7 and 5 counts), groups of 2, 4 and 8 in
+# alternation within a process (three runs of 21-31 rounds): against 4,
+# 8 took 0.84-0.97 of the time by median at m = 10 (winning 55 of 73
+# rounds), 0.93-1.02 at m = 8 and 1.00-1.08 at m = 6 (winning 10 of 73),
+# and pads up to 7 rows per count instead of 3; 2 took 1.08-1.16 at
+# m = 8 and 10. Against one log per type in alternation, groups of 4
+# took 0.88 (m = 6), 0.76 (m = 8) and 0.78 (m = 10) of the time.
+LOG_GROUP = 4
+
+# The smallest normal double, 2^-1022: a group product below it (zero
+# included) is logged member by member instead.
+TINY = float(np.finfo(np.float64).tiny)
 
 # Row-split batches of fewer points x column types than this (about a
 # millisecond of work) run on the calling thread alone: below it, waking the
@@ -375,12 +402,30 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     tabulated by angle addition from one cos and one sin per coordinate,
     and each type's factor is CA[lo] CB[hi] - SA[lo] SB[hi], lo and hi its
     bits in the two halves:
-    m cosines and m sines per point instead of T cosines. The types'
-    odd-first order, their lo and hi (the low and high bits of their
-    masks), the number of odd types and the ordered weights are computed
-    at each kernel built, with the step and block from TABLE_CHUNK; no
-    kernel keeps anything for the next (about 17 us at m = 8 with 217
-    types, 21-25 us at m = 10 with 604). With few types this path costs
+    m cosines and m sines per point instead of T cosines. The factors
+    are logged in groups: the types are sorted by count, odd counts first,
+    and each count's types are cut into groups of LOG_GROUP, its last
+    group padded with the empty subset, whose factor CA[0] CB[0] -
+    SA[0] SB[0] is exactly 1. Each group contributes count x log|product|
+    of its members' factors, multiplied left to right, and the sign is
+    the parity of the odd-count groups' negative products: one log per
+    LOG_GROUP types instead of one per type, which was about 1.8 of the
+    path's 6 ns per point and type. A group whose |product| is below TINY,
+    2^-1022, from underflow or from an exactly zero factor, is replaced by
+    the sum of its members' log|factor| and the parity of their negative
+    factors (`_log_tiny_groups`), so underflow never gives -inf or loses
+    the sign, and a zero factor still gives -inf and dhat 0.0. With no
+    product below TINY, which needs factors below about 1e-77, this costs
+    one min reduction per step. The plan (the members' lo and hi, the low
+    and high bits of their masks, LOG_GROUP rows per group; the number of
+    odd groups and the groups' counts as weights) is computed at each
+    kernel built, with the step and block from TABLE_CHUNK; no kernel
+    keeps anything for the next. The grouping doubled the build: 41 us
+    at m = 8 with 220 types and 53 us at m = 10 with 602, against 21 and
+    26 us with one log per type, and a single-point dhat took 168 and
+    203 us against 131 and 153 (best of 15 x 200 calls, alternated, on a
+    host where the same calls took up to twice as long at other times).
+    With few types this path costs
     more than one cosine per type: on one thread with coordinate cosines
     at m = 6, 8 and 10, 2^14 points took 2.2-4.6 times as long with 1-4
     types, 1.5-2.5 with 16, 1.2-1.4 with 32, 0.94-1.10 with 64 and 0.81
@@ -391,14 +436,18 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     into one stacked (2, 2^(m-h), block) buffer each for cos and sin; all
     are reused from block to block, and each level of the angle addition
     covers both halves in the same numpy calls (`_half_table_levels`). The
-    per-type work runs in steps of at most TABLE_CHUNK points x types,
-    each of at most 12 numpy calls: four gathers, the products, the odd
-    types' negative flags written into an (odd types, block) buffer, and
-    the weighted log sum; the flags' parity becomes the sign once per
-    block. Each call builds every view a block of full width needs once
-    (its coordinate cos and sin, each level's operands and outputs, each
-    step's table columns, buffers, flags and slice of the result) and
-    again only for a ragged last block, so the loops make only ufunc and
+    per-type work runs in steps of at most TABLE_CHUNK points x gathered
+    rows, each of at most 17 numpy calls: four gathers and the factors
+    into LOG_GROUP row blocks of (groups, points), their product into one
+    block, the odd groups' negative flags written into an (odd groups,
+    block) buffer, the logs of the products point-major, the check for
+    products below TINY, and the weighted log sum over each point's
+    groups (its row, so a lone point is summed like any other); the
+    flags' parity becomes the sign once per block. Each call builds
+    every view a block of full width needs once (its coordinate cos and
+    sin, each level's operands and outputs, each step's table columns,
+    buffers, flags and slice of the result) and again only for a ragged
+    last block, so the loops make only ufunc and
     ndarray.take calls. This matters because each call takes the
     interpreter lock back from the other threads of the row split, and
     Python between the calls holds it. A block is a whole number of steps
@@ -409,7 +458,11 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     differently from one cosine per factor: near the origin log|dhat|
     stays within rel 1e-12 of the column product; on the cube its worst
     error, relative to the conditioning sum_v counts[v] / |cos_v|, is
-    within 4 times the libm path's.
+    within 4 times the libm path's. The grouped log moved log|dhat| on
+    2^14 cube points at m = 6, 8 and 10 by at most 2.3e-13 (rel 6.3e-16)
+    from one log per type, with every sign kept; against the long double
+    product below its worst error stayed 2.6-3.9 eps times the
+    conditioning and its median error fell by 1-8%.
 
     Every cosine and sine on either path is `_cos_turns`'s, so the bits
     follow numpy's tan dispatch as they follow its log and exp: where numpy
@@ -481,13 +534,29 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
             return la, sign, cos_t
         return rows
 
-    order = np.argsort(~odd, kind="stable")  # odd types first
-    ordered = masks[order]
-    lo, hi = ordered & ((1 << h) - 1), ordered >> h
-    n_odd, weights = int(odd.sum()), counts.astype(np.float64)[order]
+    # The types by count, odd counts first; each count's types in groups of
+    # LOG_GROUP, its last group padded with the empty subset (factor 1).
+    # Row block i of the gathered rows holds member i of every group.
+    order = np.lexsort((counts, ~odd))
+    by_count, ordered = counts[order], masks[order]
+    ends = (np.flatnonzero(np.diff(by_count)) + 1).tolist() + [types] if types else []
+    starts = ([0] + ends)[:-1]  # each count's types are ordered[start:end]
+    sizes = [-(-(b - a) // LOG_GROUP) for a, b in zip(starts, ends)]  # its groups
+    groups = sum(sizes)
+    members = np.zeros((groups, LOG_GROUP), dtype=np.int64)  # mask 0: the empty subset
+    flat, g = members.reshape(-1), 0
+    for a, b, size in zip(starts, ends, sizes):
+        flat[LOG_GROUP * g:LOG_GROUP * g + b - a] = ordered[a:b]
+        g += size
+    members = members.T.ravel()
+    lo, hi = members & ((1 << h) - 1), members >> h
+    group_counts = np.repeat(by_count[starts], sizes)
+    weights = group_counts.astype(np.float64)
+    n_odd = int((group_counts & 1).sum())  # the odd groups come first
     levels = _half_table_levels(m)
     plus_minus = np.array([1.0, -1.0])  # the sign of an even and an odd count of negatives
-    step = max(1, TABLE_CHUNK // max(types, 1))
+    height = LOG_GROUP * groups  # gathered rows per point
+    step = max(1, TABLE_CHUNK // max(height, 1))
     # Points per block of half tables: whole steps, and about 2 TABLE_CHUNK
     # values for the stacked tables, 4 2^(m-h) per point.
     block = max(step, TABLE_CHUNK // (2 << (m - h)) // step * step)
@@ -498,7 +567,7 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         la = np.empty(k)
         sign = np.empty(k) if signed else None
         # Reused by every block: fresh arrays of this size cost page faults.
-        flat = np.empty((3, types * min(k, step)))
+        flat = np.empty((3, height * min(k, step)))
         width = min(k, block)
         tables = np.empty((2, 2, 1 << (m - h), width))
         tables[0, :, 0], tables[1, :, 0] = 1.0, 0.0  # the empty subset, never overwritten
@@ -509,10 +578,14 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
         parity = np.empty(width, dtype=bool)
 
         def step_views(points: int) -> Tuple[np.ndarray, ...]:
-            # c, s and tmp, (types, points); c's odd types and transpose;
-            # and the weighted logs point-major in s's memory.
-            c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
-            return c, s, tmp, c[:n_odd], c.T, flat[1, :types * points].reshape(points, types)
+            # c, s and tmp, (height, points); c's row blocks, one per
+            # member; the group products, (groups, points) in tmp's memory,
+            # their odd groups and transpose; and the weighted logs
+            # point-major in s's memory.
+            c, s, tmp = (f[:height * points].reshape(height, points) for f in flat)
+            prod = flat[2, :groups * points].reshape(groups, points)
+            return (c, s, tmp, tuple(c.reshape(LOG_GROUP, groups, points)), prod, prod[:n_odd],
+                    prod.T, flat[1, :groups * points].reshape(points, groups))
 
         def block_views(w: int) -> tuple:
             # For a block of w points: its coordinate cos, sin and their
@@ -554,7 +627,8 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                     np.subtract(c_new, np.multiply(s_old, si, tmp), c_new)
                     np.multiply(s_old, ci, s_new)
                     np.add(s_new, np.multiply(c_old, si, tmp), s_new)
-                for (ca, cb, sa, sb, neg_j, c, s, tmp, c_odd, c_t, logs), la_j in zip(steps, targets):
+                for (ca, cb, sa, sb, neg_j, c, s, tmp, factors, prod, prod_odd, prod_t,
+                     logs), la_j in zip(steps, targets):
                     # c = CA[lo] CB[hi] - SA[lo] SB[hi]; mode="clip" spares
                     # take a defensive copy of out (every index is in range).
                     ca.take(lo, 0, c, "clip")
@@ -562,10 +636,17 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                     sa.take(lo, 0, s, "clip")
                     np.multiply(s, sb.take(hi, 0, tmp, "clip"), s)
                     np.subtract(c, s, c)
+                    np.multiply(factors[0], factors[1], prod)
+                    for member in factors[2:]:
+                        np.multiply(prod, member, prod)
                     if signed:
-                        np.less(c_odd, 0.0, neg_j)
-                    np.absolute(c, c)
-                    np.log(c_t, logs)
+                        # Not np.signbit: numpy 2.4 writes wrong flags into
+                        # a strided bool output such as neg_j.
+                        np.less(prod_odd, 0.0, neg_j)
+                    np.absolute(prod, prod)
+                    np.log(prod_t, logs)
+                    if np.minimum.reduce(prod, None, initial=math.inf) < TINY:
+                        _log_tiny_groups(prod, logs, factors, neg_j if signed else None)
                     np.multiply(logs, weights, logs)
                     np.add.reduce(logs, 1, None, la_j)
                 if signed:
@@ -573,6 +654,26 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
                     plus_minus.take(parity_w, 0, sign[span], "clip")
         return la, sign, cos_t.T if coords else None
     return rows
+
+
+def _log_tiny_groups(prod: np.ndarray, logs: np.ndarray, members: Tuple[np.ndarray, ...],
+                     neg: Optional[np.ndarray]) -> None:
+    """Where a (groups, points) |product| is below TINY, replaces its log in
+    the point-major logs by the sum of its members' log|factor|, in member
+    order, and, if neg is given, its flag in the (odd groups, points) neg
+    by the parity of its negative members, which a product that underflowed
+    to zero no longer carries. So an underflowed product keeps a finite
+    log and its sign, and a zero factor still gives -inf."""
+    g, p = np.nonzero(prod < TINY)
+    with np.errstate(divide="ignore"):
+        total = np.log(np.abs(members[0][g, p]))
+        for member in members[1:]:
+            total += np.log(np.abs(member[g, p]))
+    logs[p, g] = total
+    if neg is not None:
+        odd = g < neg.shape[0]
+        g, p = g[odd], p[odd]
+        neg[g, p] = np.logical_xor.reduce([member[g, p] < 0.0 for member in members])
 
 
 def _worker_count() -> int:
@@ -739,8 +840,8 @@ def dhat_bruteforce(A: IncidenceMatrix, theta) -> float:
 
 def dhat_partial(A: IncidenceMatrix, theta, k: int) -> float:
     """|product of the first k column factors|; k = n gives |dhat|."""
-    if not (0 <= k <= A.n):
-        raise ValueError(f"k must lie in [0, {A.n}]")
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= A.n):
+        raise ValueError(f"k must be an integer in [0, {A.n}]")
     la, _, _ = _kernel(A.columns_f64[:, :k], np.ones(k, dtype=np.int64), signed=False)(
         _theta_rows(_theta_array(theta), A.m))
     return float(_exp_clamped(la)[0])

@@ -83,7 +83,13 @@ class PointProbability:
 
 
 def _lambda_array(A: IncidenceMatrix, lam) -> np.ndarray:
-    arr = np.asarray(lam, dtype=np.int64)
+    """lambda as an (m,) int64 array. Integral floats such as 1.0 are
+    accepted; a fractional, infinite or nan entry raises ValueError."""
+    raw = np.asarray(lam)
+    with np.errstate(invalid="ignore"):  # nan and inf cast to arbitrary integers
+        arr = raw.astype(np.int64)
+    if not np.array_equal(arr, raw):
+        raise ValueError(f"lambda entries must be integers, got {raw.tolist()}")
     if arr.ndim == 0:
         arr = arr[None]
     if arr.shape != (A.m,):

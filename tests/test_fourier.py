@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing as mp
 import sys
@@ -70,6 +71,16 @@ def test_dhat_partial_monotone_and_edges():
     assert all(vals[k + 1] <= vals[k] + 1e-14 for k in range(30))
     with pytest.raises(ValueError):
         dl.dhat_partial(A, th, 31)
+
+
+def test_dhat_partial_rejects_a_fractional_k():
+    # k = 1.5 once passed the range check and then failed on a slice.
+    A = dl.sample_bernoulli(3, 30, 0.5, 4)
+    th = [0.1, -0.2, 0.3]
+    for k in (1.5, 0.5, -1, 31, math.nan):
+        with pytest.raises(ValueError, match="integer in"):
+            dl.dhat_partial(A, th, k)
+    assert dl.dhat_partial(A, th, np.int64(7)) == dl.dhat_partial(A, th, 7)
 
 
 def _cos_turns(x):
@@ -200,7 +211,7 @@ def _reference_rows(V, counts, signed, thetas):
     """(la, sign) of the test-side reference of the path the kernel takes."""
     if _few_types(*V.shape):
         return _einsum_rows(V, counts, signed, thetas)
-    return _per_step_sign_rows(V, counts, signed, thetas)[:2]
+    return _grouped_rows(V, counts, signed, thetas)[:2]
 
 
 # Instances on either path of the transform kernel: 29 column types at
@@ -863,20 +874,46 @@ def _einsum_rows(V, counts, signed, thetas):
     return c.sum(axis=1), sign
 
 
-def _table_rows(V, counts, thetas):
-    """The angle-addition path's row function before its per-block tables,
-    kept as the reference: each half's cos and sin tables over the whole
-    batch, a fresh temporary per level, the sign from a count of the odd
-    types' negative factors, and the weighted logs copied point-major.
-    Returns (la, sign, coordinate cosines)."""
-    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
+def _log_groups(counts):
+    """The grouped rule's plan, written out: the types by count, odd counts
+    first, ties in type order; each count's types in groups of LOG_GROUP,
+    its last group padded with -1, the empty subset. Returns the members
+    (groups, LOG_GROUP) and each group's count."""
+    order = sorted(range(len(counts)), key=lambda v: (counts[v] % 2 == 0, counts[v]))
+    members, group_counts = [], []
+    for count, run in itertools.groupby(order, key=lambda v: counts[v]):
+        run = list(run)
+        for a in range(0, len(run), fr.LOG_GROUP):
+            group = run[a:a + fr.LOG_GROUP]
+            members.append(group + [-1] * (fr.LOG_GROUP - len(group)))
+            group_counts.append(int(count))
+    return np.array(members, dtype=np.int64).reshape(-1, fr.LOG_GROUP), group_counts
+
+
+def _height(counts):
+    """Rows the angle-addition path gathers per point: LOG_GROUP per group."""
+    return _log_groups(counts)[0].size
+
+
+def _grouped_rows(V, counts, signed, thetas, coords=False):
+    """The angle-addition path's rule, written out as the reference: each
+    half's cos and sin tables over the whole batch by angle addition, a
+    fresh temporary per level; then, in steps of 97 points, each type's
+    factor CA[lo] CB[hi] - SA[lo] SB[hi]; per group the product of its
+    members' factors left to right (a padded member's factor is 1); the
+    sign from a count of the odd types' negative factors; and the sum of
+    count x log|product| over a point's groups, or, where |product| is
+    below 2^-1022, of count x the sum of the members' log|factor| in
+    member order. Returns (la, sign, coordinate cosines)."""
     m, types = V.shape
     h = m // 2
-    order = np.argsort(~odd, kind="stable")
-    bits = V[:, order].astype(np.int64)
+    bits = V.astype(np.int64)
     lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
     hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
-    n_odd, weights = int(odd.sum()), weights[order]
+    odd = np.flatnonzero(counts % 2 == 1)
+    members, group_counts = _log_groups(counts)
+    weights = np.array(group_counts, dtype=np.float64)
+    tiny = np.finfo(np.float64).tiny
 
     def half_table(cos_h, sin_h):
         c = np.empty((1 << len(cos_h), cos_h.shape[1]))
@@ -894,74 +931,26 @@ def _table_rows(V, counts, thetas):
     cos_t, sin_t = _cos_turns(thetas.T), _sin_turns(thetas.T)
     ca, sa = half_table(cos_t[:h], sin_t[:h])
     cb, sb = half_table(cos_t[h:], sin_t[h:])
-    la, sign = np.empty(k), np.empty(k)
-    step = max(1, fr.TABLE_CHUNK // types)
-    for a in range(0, k, step):
-        part = slice(a, a + step)
-        c = ca[lo, part] * cb[hi, part] - sa[lo, part] * sb[hi, part]
-        sign[part] = 1.0 - 2.0 * (np.count_nonzero(c[:n_odd] < 0.0, axis=0) & 1)
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(c, out=c), out=c)
-        weighted = np.empty(c.shape[::-1])
-        la[part] = np.multiply(c.T, weights, out=weighted).sum(axis=1)
-    return la, sign, cos_t.T
-
-
-def _per_step_sign_rows(V, counts, signed, thetas, coords=False):
-    """The angle-addition path's row function before its stacked tables and
-    per-block sign, kept as the reference: each half's tables built on
-    their own, per block of whole steps holding about 2 TABLE_CHUNK values
-    of the four tables, and the sign reduced and converted in every step.
-    Returns (la, sign, coordinate cosines)."""
-    odd, weights = (counts & 1).astype(bool), counts.astype(np.float64)
-    m, types = V.shape
-    h = m // 2
-    order = np.argsort(~odd, kind="stable")
-    bits = V[:, order].astype(np.int64)
-    lo = (bits[:h] << np.arange(h)[:, None]).sum(axis=0)
-    hi = (bits[h:] << np.arange(m - h)[:, None]).sum(axis=0)
-    n_odd, weights = int(odd.sum()), weights[order]
-    step = max(1, fr.TABLE_CHUNK // max(types, 1))  # no types: the empty product
-    block = max(step, fr.TABLE_CHUNK // ((1 << h) + (1 << (m - h))) // step * step)
-
-    def half_table(cos_h, sin_h, c, s, scratch):
-        c[0], s[0] = 1.0, 0.0
-        for i, (ci, si) in enumerate(zip(cos_h, sin_h)):
-            old, new, tmp = slice(0, 1 << i), slice(1 << i, 2 << i), scratch[:1 << i]
-            np.multiply(c[old], ci, out=c[new])
-            c[new] -= np.multiply(s[old], si, out=tmp)
-            np.multiply(s[old], ci, out=s[new])
-            s[new] += np.multiply(c[old], si, out=tmp)
-
-    k = thetas.shape[0]
-    cos_t, sin_t = _cos_turns(thetas.T), _sin_turns(thetas.T)
     la = np.empty(k)
     sign = np.empty(k) if signed else None
-    flat = np.empty((3, types * min(k, step)))
-    width = min(k, block)
-    ca, sa = np.empty((2, 1 << h, width))
-    cb, sb = np.empty((2, 1 << (m - h), width))
-    scratch = np.empty((1 << (m - h - 1), width))
-    for a in range(0, k, step):
-        part, points, b = slice(a, a + step), min(step, k - a), a % block
-        if not b:
-            tab, w = slice(a, a + block), min(block, k - a)
-            half_table(cos_t[:h, tab], sin_t[:h, tab], ca[:, :w], sa[:, :w], scratch[:, :w])
-            half_table(cos_t[h:, tab], sin_t[h:, tab], cb[:, :w], sb[:, :w], scratch[:, :w])
-        cols = slice(b, b + points)
-        c, s, tmp = (f[:types * points].reshape(types, points) for f in flat)
-        np.take(ca[:, cols], lo, axis=0, out=c, mode="clip")
-        c *= np.take(cb[:, cols], hi, axis=0, out=tmp, mode="clip")
-        np.take(sa[:, cols], lo, axis=0, out=s, mode="clip")
-        s *= np.take(sb[:, cols], hi, axis=0, out=tmp, mode="clip")
-        c -= s
+    for a in range(0, k, 97):
+        part = slice(a, a + 97)
+        c = ca[lo, part] * cb[hi, part] - sa[lo, part] * sb[hi, part]
         if signed:
-            sign[part] = np.where(np.logical_xor.reduce(c[:n_odd] < 0.0, axis=0), -1.0, 1.0)
-        logs = flat[1, :types * points].reshape(points, types)
+            sign[part] = 1.0 - 2.0 * (np.count_nonzero(c[odd] < 0.0, axis=0) & 1)
+        f = np.concatenate([c, np.ones((1, c.shape[1]))])[members]  # -1: the padding row
+        prod = f[:, 0].copy()
+        for i in range(1, fr.LOG_GROUP):
+            prod *= f[:, i]
         with np.errstate(divide="ignore"):
-            np.log(np.abs(c, out=c).T, out=logs)
-        logs *= weights
-        la[part] = logs.sum(axis=1)
+            logs = np.log(np.abs(prod))
+            small = np.abs(prod) < tiny
+            member_logs = np.log(np.abs(f))
+        total = member_logs[:, 0].copy()
+        for i in range(1, fr.LOG_GROUP):
+            total += member_logs[:, i]
+        logs[small] = total[small]
+        la[part] = np.ascontiguousarray(logs.T * weights).sum(axis=1)
     return la, sign, cos_t.T if coords else None
 
 
@@ -1052,9 +1041,9 @@ def test_table_kernel_repeated_unit_count_columns_bitwise():
             assert not _few_types(m, k)
             V, ones = A.columns_f64[:, :k], np.ones(k, dtype=np.int64)
             la, _, _ = fr._kernel(V, ones, False)(th)
-            assert _hex(la) == _hex(_per_step_sign_rows(V, ones, False, th)[0]), (m, n, k)
+            assert _hex(la) == _hex(_grouped_rows(V, ones, False, th)[0]), (m, n, k)
             assert dl.dhat_partial(A, th[0], k) == float(
-                fr._exp_clamped(_per_step_sign_rows(V, ones, False, th[:1])[0])[0])
+                fr._exp_clamped(_grouped_rows(V, ones, False, th[:1])[0])[0])
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -1074,7 +1063,7 @@ def test_kernel_single_wide_type_takes_the_left_to_right_angle(m):
         counts = np.array([count])
         la, sign, _ = fr._kernel(V, counts, True)(th)
         if m >= 6:
-            ref = _per_step_sign_rows(V, counts, True, th)
+            ref = _grouped_rows(V, counts, True, th)
             assert (_hex(la), _hex(sign)) == (_hex(ref[0]), _hex(ref[1])), (m, count)
             continue
         with np.errstate(divide="ignore"):
@@ -1192,7 +1181,7 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
             missing = [] if full else rng.choice(m, size=int(rng.integers(0, 3)), replace=False).tolist()
             V, counts = _random_types(rng, m, types, full or bool(rng.integers(2)), missing)
             assert V.shape[1] == types
-            step = max(1, chunk // types)
+            step = max(1, chunk // _height(counts))
             block = max(step, chunk // ((1 << m // 2) + (1 << (m - m // 2))) // step * step)
             if chunk < fr.TABLE_CHUNK and types > _gate(m):
                 assert block > step
@@ -1200,7 +1189,7 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
             pts = _points(rng, max(sizes) // 2 + 1, m)
             for k in sorted(sizes):
                 th = pts[:k]
-                ref_la, ref_sign, ref_cos = _table_rows(V, counts, th)
+                ref_la, ref_sign, ref_cos = _grouped_rows(V, counts, True, th, coords=True)
                 for signed in (False, True):
                     kernel = fr._kernel(V, counts, signed)
                     la, sign, cos_t = kernel(th, coords=True)
@@ -1215,8 +1204,9 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
 
 @pytest.mark.parametrize("m", (6, 7, 8, 9, 10, 11))
 def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
-    # The stacked tables (one extra level at odd m) and the per-block sign
-    # against the loop they replace: no points, one, a step and its
+    # The stacked tables (one extra level at odd m), the grouped logs and
+    # the per-block sign against the reference, which takes the sign per
+    # type in steps of its own: no points, one, a step and its
     # neighbours, a partial last block and several blocks; the default
     # TABLE_CHUNK and one small enough for steps of one or two points. At the
     # small chunk the counts start at one type; at the default one above
@@ -1227,7 +1217,7 @@ def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
         first = _gate(m) + 1 if chunk == fr.TABLE_CHUNK else _first_table_types(m)
         for types in sorted({first, int(rng.integers(first, (1 << m) + 1))}):
             V, counts = _random_types(rng, m, types, bool(rng.integers(2)), [])
-            step = max(1, chunk // types)
+            step = max(1, chunk // _height(counts))
             block = max(step, chunk // (2 << (m - m // 2)) // step * step)
             sizes = {0, 1, step - 1, step, step + 1, block + step // 2 + 1, 3 * block + 1}
             pts = _points(rng, max(sizes) // 2 + 1, m)
@@ -1237,7 +1227,7 @@ def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
                     kernel = fr._kernel(V, counts, signed)
                     for coords in (False, True):
                         got = kernel(th, coords=coords)
-                        ref = _per_step_sign_rows(V, counts, signed, th, coords)
+                        ref = _grouped_rows(V, counts, signed, th, coords)
                         for g, r in zip(got, ref):
                             assert (g is None) == (r is None), (m, types, k, chunk, signed, coords)
                             if r is not None:
@@ -1249,16 +1239,15 @@ def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
 def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypatch):
     # Every count even (no odd type, so the sign is +1 everywhere), every
     # count odd, and both, at even and odd m; one point, and a batch whose
-    # last block and last step are both ragged; against the per-step sign
-    # loop, at the default TABLE_CHUNK and a small one. From one type on.
+    # last block and last step are both ragged; against the reference, at
+    # the default TABLE_CHUNK and a small one. From one type on.
     rng = stream(51, m)
     first = _first_table_types(m)
     V, counts = _random_types(rng, m, int(rng.integers(first, (1 << m) + 1)), True, [])
     counts = {"even": 2 * counts, "odd": 2 * counts + 1, "mixed": counts}[parity]
-    types = V.shape[1]
     for chunk in (fr.TABLE_CHUNK, 1 << 11):
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
-        step = max(1, chunk // types)
+        step = max(1, chunk // _height(counts))
         block = max(step, chunk // (2 << (m - m // 2)) // step * step)
         ragged = 3 * block - 1  # last block block - 1 points, last step step - 1
         assert step > 1 and ragged % block % step == step - 1
@@ -1267,11 +1256,130 @@ def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypa
             th = pts[:k]
             for signed in (False, True):
                 got = fr._kernel(V, counts, signed)(th, coords=True)
-                ref = _per_step_sign_rows(V, counts, signed, th, coords=True)
+                ref = _grouped_rows(V, counts, signed, th, coords=True)
                 assert [_hex(g) for g in got if g is not None] == [
                     _hex(r) for r in ref if r is not None], (parity, chunk, k, signed)
                 if signed and parity == "even":
                     assert (got[1] == 1.0).all()
+
+
+@pytest.mark.parametrize("m", (6, 9))
+@pytest.mark.parametrize("parity", ("even", "odd", "mixed"))
+def test_table_kernel_count_classes_of_one_to_five_types_bitwise(m, parity):
+    # Count classes of 1-5 types each, so that every class but those of
+    # LOG_GROUP types pads its last group with the empty subset; all counts
+    # even, all odd, or both. Against the grouped rule's reference, signed
+    # and not, with and without coordinate cosines, at one point and many.
+    rng = stream(59, m)
+    sizes = [1, 2, 3, 4, 5] * 2
+    masks = rng.choice(1 << m, size=sum(sizes), replace=False)
+    V = ((masks[None, :] >> np.arange(m)[:, None]) & 1).astype(np.float64)
+    values = rng.permutation(np.arange(1, 60))[:len(sizes)]
+    values = {"even": 2 * values, "odd": 2 * values + 1, "mixed": values}[parity]
+    counts = rng.permutation(np.repeat(values, sizes))
+    if parity == "mixed":
+        assert (values % 2 == 0).any() and (values % 2 == 1).any()
+    members, _ = _log_groups(counts)
+    assert members.shape == (sum(-(-s // fr.LOG_GROUP) for s in sizes), fr.LOG_GROUP)
+    assert (members == -1).any()
+    th = _points(rng, 200, m)
+    for pts in (th[:1], th):
+        for signed in (False, True):
+            for coords in (False, True):
+                got = fr._kernel(V, counts, signed)(pts, coords=coords)
+                ref = _grouped_rows(V, counts, signed, pts, coords)
+                assert [None if g is None else _hex(g) for g in got] == [
+                    None if r is None else _hex(r) for r in ref], (len(pts), signed, coords)
+
+
+def _turns_cos_sin_ld(x):
+    """cos and sin of 2 pi x in long double, x in turns, exact at every
+    quarter turn: x is cut into quarter turns q and a rest r, and the
+    rest's cosine and sine are rotated by q."""
+    q = np.rint(4 * x)
+    r = 2 * np.pi * np.longdouble(1) * (x - q / 4)
+    c, s = np.cos(r), np.sin(r)
+    q = q.astype(np.int64) % 4
+    return (np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c]))
+
+
+def _tiny_factor_reference(V, counts, thetas, tiny_coords):
+    """Long double log|dhat| and sign, each column type's angle taken as
+    the sum of its coordinates outside tiny_coords plus the sum of those
+    inside, joined by angle addition, so that a type whose large part is a
+    quarter turn keeps the factor its tiny part gives it. Also returns the
+    factors, (points, types)."""
+    big = np.ones(V.shape[0], dtype=bool)
+    big[tiny_coords] = False
+    th = thetas.astype(np.longdouble)
+    cb, sb = _turns_cos_sin_ld((th * big) @ V.astype(np.longdouble))
+    ct, st = _turns_cos_sin_ld((th * ~big) @ V.astype(np.longdouble))
+    f = cb * ct - sb * st
+    with np.errstate(divide="ignore"):
+        la = (np.log(np.abs(f)) * counts).sum(axis=1)
+    sign = np.where(np.count_nonzero((f < 0) & (counts % 2 == 1), axis=1) % 2, -1.0, 1.0)
+    return la, sign, f
+
+
+def _mask_columns(m, *subsets):
+    return np.array([[float(i in s) for s in subsets] for i in range(m)])
+
+
+def test_table_kernel_logs_underflowed_groups_member_by_member():
+    # At m = 6 the half-table entries of coordinates {0, 1} and {3, 4} are
+    # exactly zero when each pair is -0.45 and 0.2 (a quarter turn, rounded
+    # to 0.0), and coordinates 2 and 5 near 1e-170 and 1e-160 give factors
+    # of that size to the types that meet such an entry: {0,1,2} and
+    # {2,3,4} near 6e-170, {0,1,5}, {0,1,2,5} and {3,4,5} near 6e-160. In
+    # the class of count 3 the product of the first three is 0.0, in that
+    # of count 1 the product of the last two is subnormal, from nonzero
+    # factors. Those groups take the sum of their members' logs: log|dhat|
+    # stays finite, within rel 1e-12 of a long double column product that
+    # keeps the tiny parts, and every sign is that product's, also at
+    # ordinary points in the same batch.
+    if np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision:
+        pytest.skip("long double is no wider than double on this platform")
+    assert _cos_turns(-0.45) * _cos_turns(0.2) - _sin_turns(-0.45) * _sin_turns(0.2) == 0.0
+    V = _mask_columns(6, {0, 1, 2}, {2, 3, 4}, {0, 1, 5}, {1}, {0, 1, 2, 5}, {3, 4, 5},
+                      {0}, {1, 4}, {2, 5}, {0, 3, 4, 5}, {1, 2, 4}, {3, 5})
+    counts = np.array([3, 3, 3, 3, 1, 1, 2, 2, 2, 2, 2, 2])
+    th = np.array([[-0.45, 0.2, a, -0.45, 0.2, b] for a in (1e-170, -1e-170) for b in (1e-160, -1e-160)])
+    th = np.concatenate([th, _points(stream(60), 20, 6)])
+    ref_la, ref_sign, f = _tiny_factor_reference(V, counts, th, [2, 5])
+    f = f[:4].astype(np.float64)
+    tiny = np.abs(f[:, [0, 1, 2, 4, 5]])
+    assert (tiny > 1e-171).all() and (tiny < 1e-159).all()
+    assert (f[:, 0] * f[:, 1] * f[:, 2] == 0.0).all()
+    assert (0.0 < np.abs(f[:, 4] * f[:, 5])).all()
+    assert (np.abs(f[:, 4] * f[:, 5]) < np.finfo(np.float64).tiny).all()
+    la, sign, _ = fr._kernel(V, counts, True)(th)
+    assert np.isfinite(la).all() and (la[:4] < -3000).all()
+    np.testing.assert_allclose(la[:4], ref_la[:4].astype(np.float64), rtol=1e-12)
+    assert _hex(sign) == _hex(ref_sign)
+    assert len(set(sign[:4].tolist())) == 2
+    ref = _grouped_rows(V, counts, True, th)
+    assert (_hex(la), _hex(sign)) == (_hex(ref[0]), _hex(ref[1]))
+    assert _hex(fr._kernel(V, counts, False)(th)[0]) == _hex(la)
+
+
+def test_table_kernel_exact_zero_factor_gives_zero():
+    # The type {0, 1} alone meets the exactly zero table entry with the
+    # empty subset of the other half, so its factor is 0.0 on the
+    # angle-addition path (m = 6, any type count), in a group with other,
+    # nonzero factors: log|dhat| is -inf and dhat, xhat and dhat_partial
+    # are 0.0 at that point, and finite and nonzero at its neighbour.
+    cols = [{0, 1}] * 3 + [{2, 3}, {1, 4, 5}, {0, 2}, {5}] + [{3, 4}] * 2
+    A = IncidenceMatrix(_mask_columns(6, *cols).astype(int))
+    assert A.column_types[1].tolist().count(3) == 1
+    th = np.array([[-0.45, 0.2, 0.1, 0.3, -0.1, 0.05], [-0.45, 0.21, 0.1, 0.3, -0.1, 0.05]])
+    la = fr.dhat_log_abs_batch(A, th)
+    assert la[0] == -math.inf and np.isfinite(la[1])
+    d = fr.dhat_batch(A, th)
+    assert d[0] == 0.0 and d[1] != 0.0
+    assert dl.dhat(A, th[0]) == 0.0
+    assert dl.xhat(A, dl.build_pmf(1), th[0]) == 0.0
+    assert dl.dhat_partial(A, th[0], A.n) == 0.0 and dl.dhat_partial(A, th[0], 1) == 0.0
+    assert dl.dhat_partial(A, th[1], A.n) == pytest.approx(abs(d[1]), rel=1e-12)
 
 
 def test_kernel_step_and_path_follow_each_kernel(monkeypatch):
@@ -1284,9 +1392,9 @@ def test_kernel_step_and_path_follow_each_kernel(monkeypatch):
     import tracemalloc
     A = _wide_instance()
     V, counts = A.column_types
-    types = V.shape[1]
+    height = _height(counts)
     th = _points(stream(52), 1500, A.m)
-    table_ref = _per_step_sign_rows(V, counts, True, th, coords=True)
+    table_ref = _grouped_rows(V, counts, True, th, coords=True)
     chunks, peaks = (fr.TABLE_CHUNK, 1 << 11), []
     for chunk in chunks:
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
@@ -1298,9 +1406,9 @@ def test_kernel_step_and_path_follow_each_kernel(monkeypatch):
         finally:
             tracemalloc.stop()
         assert [_hex(g) for g in got] == [_hex(r) for r in table_ref], chunk
-    # The whole call at the small chunk peaks below the three (types, step)
-    # buffers of the default step alone.
-    assert peaks[1] < 3 * 8 * types * max(1, chunks[0] // types) < peaks[0], peaks
+    # The whole call at the small chunk peaks below the three (height, step)
+    # buffers of the default step alone, height the gathered rows per point.
+    assert peaks[1] < 3 * 8 * height * max(1, chunks[0] // height) < peaks[0], peaks
 
     levels, built = fr._half_table_levels, []
     monkeypatch.setattr(fr, "_half_table_levels", lambda m: built.append(m) or levels(m))
@@ -1318,10 +1426,10 @@ def test_kernel_step_and_path_follow_each_kernel(monkeypatch):
         built.clear()
         la, sign, _ = fr._kernel(V, counts, True)(pts)
         assert built == ([] if few else [m]), (m, types)
-        ref_la, ref_sign = (_einsum_rows if few else _per_step_sign_rows)(V, counts, True, pts)[:2]
+        ref_la, ref_sign = (_einsum_rows if few else _grouped_rows)(V, counts, True, pts)[:2]
         assert (_hex(la), _hex(sign)) == (_hex(ref_la), _hex(ref_sign)), (m, types)
         if m > 1:  # the two paths round differently
-            other = (_per_step_sign_rows if few else _einsum_rows)(V, counts, True, pts)[0]
+            other = (_grouped_rows if few else _einsum_rows)(V, counts, True, pts)[0]
             assert _hex(la) != _hex(other), (m, types)
 
 

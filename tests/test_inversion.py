@@ -134,6 +134,20 @@ def test_prob_fourier_mc_never_fails_at_random():
         assert math.isfinite(est.value) and est.stderr > 0.0
 
 
+def test_fractional_lambda_rejected():
+    # Casting lambda to int64 once truncated it: [0.5, 0] gave Pr[X = (0, 0)]
+    # and [1.9, 0] gave Pr[X = (1, 0)]. Integral floats stay accepted.
+    A = dl.sample_bernoulli(2, 10, 0.5, 3)
+    for bad in ([0.5, 0], [1.9, 0], [0, -0.1], [math.nan, 0], [math.inf, 0], 0.5):
+        with pytest.raises(ValueError, match="integers"):
+            dl.prob_exact(A, S1, bad)
+        with pytest.raises(ValueError, match="integers"):
+            dl.prob_fourier_mc(A, S1, bad, 1000, 1)
+    assert dl.prob_exact(A, S1, [1.0, 0.0]) == dl.prob_exact(A, S1, [1, 0])
+    assert dl.prob_exact(A, S1, np.array([1, 0], dtype=np.int32)) == dl.prob_exact(A, S1, [1, 0])
+    assert dl.prob_fourier_mc(A, S1, [1.0, 0.0], 1000, 1) == dl.prob_fourier_mc(A, S1, [1, 0], 1000, 1)
+
+
 def test_prob_fourier_mc_unreachable_lambda():
     A = IncidenceMatrix([[1, 1]])
     est = dl.prob_fourier_mc(A, S1, [7], 200000, 11)
