@@ -544,9 +544,9 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     sizes = [-(-(b - a) // LOG_GROUP) for a, b in zip(starts, ends)]  # its groups
     groups = sum(sizes)
     members = np.zeros((groups, LOG_GROUP), dtype=np.int64)  # mask 0: the empty subset
-    flat, g = members.reshape(-1), 0
+    slots, g = members.reshape(-1), 0
     for a, b, size in zip(starts, ends, sizes):
-        flat[LOG_GROUP * g:LOG_GROUP * g + b - a] = ordered[a:b]
+        slots[LOG_GROUP * g:LOG_GROUP * g + b - a] = ordered[a:b]
         g += size
     members = members.T.ravel()
     lo, hi = members & ((1 << h) - 1), members >> h

@@ -135,8 +135,9 @@ def test_prob_fourier_mc_never_fails_at_random():
 
 
 def test_fractional_lambda_rejected():
-    # Casting lambda to int64 once truncated it: [0.5, 0] gave Pr[X = (0, 0)]
-    # and [1.9, 0] gave Pr[X = (1, 0)]. Integral floats stay accepted.
+    # A lambda with a fractional, infinite or nan entry names no lattice
+    # point: both estimators refuse it rather than truncate it. Integral
+    # floats and integer arrays of any width give the integer answer.
     A = dl.sample_bernoulli(2, 10, 0.5, 3)
     for bad in ([0.5, 0], [1.9, 0], [0, -0.1], [math.nan, 0], [math.inf, 0], 0.5):
         with pytest.raises(ValueError, match="integers"):
