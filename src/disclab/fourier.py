@@ -41,9 +41,11 @@ the one engine: a `Region` (cube, quarter cube or origin ball) draws
 points uniformly and gives its volume, and an integrand maps them to
 values. Every estimator in the package (here and in `inversion`) is an
 integrand passed to it; a restriction to another subset, such as the far
-region's lattice-distance indicator, lives in the integrand. Blocks of
-MC_BLOCK points are seeded by index, so estimates depend only on
-(seed, samples).
+region's lattice-distance indicator, lives in the integrand. An integrand
+may return a stack of several integrands' values over the same points,
+as the assembly's central and near pieces do, and gets one estimate per
+row. Blocks of MC_BLOCK points are seeded by index, so estimates depend
+only on (seed, samples).
 
 `integrate_mc` takes its blocks in windows of one per core: the calling
 thread and a process-wide thread pool (built on first use) draw a
@@ -213,6 +215,8 @@ def _theta_array(theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a single theta vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("theta must be finite")
     return arr
 
 
@@ -713,11 +717,13 @@ def _theta_rows(thetas, m: int) -> np.ndarray:
 
 
 def _map_rows(fn: Callable[[np.ndarray], np.ndarray], A: IncidenceMatrix, thetas) -> np.ndarray:
-    """fn over row slices of a batch of theta rows for A, on every core: (B,).
+    """fn over row slices of a batch of theta rows for A, on every core:
+    (B,), or (j, B) when fn returns a stack of j values per row.
 
-    fn maps k rows to k values, each row's computed from that row alone and
-    the same way in any slice, so no value depends on the slicing or on the
-    thread. Work is counted in points x column types of A. A batch of at
+    fn maps k rows to k values, or to a (j, k) stack, each row's computed
+    from that row alone and the same way in any slice, so no value depends
+    on the slicing or on the thread; the slices' results are joined along
+    their last axis. Work is counted in points x column types of A. A batch of at
     least PARALLEL_MIN_WORK is cut into slices that the calling thread and
     the kernel pool share, the caller taking every T-th of the T threads'
     slices; each slice is at most KERNEL_CHUNK / T points x types, so at
@@ -726,34 +732,35 @@ def _map_rows(fn: Callable[[np.ndarray], np.ndarray], A: IncidenceMatrix, thetas
     """
     thetas = _theta_rows(thetas, A.m)
     points, types = thetas.shape[0], max(A.column_types[0].shape[1], 1)
-    out = np.empty(points)
     nested = getattr(_in_slice, "active", False)
     workers = 1 if nested or points * types < PARALLEL_MIN_WORK else _worker_count()
     # Equal slices of at most cap rows, in whole rounds of one per thread.
     cap = max(1, KERNEL_CHUNK // (workers * types))
     rounds = max(1, -(-points // (workers * cap)))
     step = max(1, -(-points // (workers * rounds)))
-    slices = [slice(lo, lo + step) for lo in range(0, points, step)]
+    # An empty batch is one empty slice, so fn still gives the stack's height.
+    slices = [slice(lo, lo + step) for lo in range(0, max(points, 1), step)]
+    results = [None] * len(slices)
 
-    def run(part: slice) -> None:
+    def run(i: int) -> None:
         _in_slice.active = True
         try:
-            out[part] = fn(thetas[part])
+            results[i] = fn(thetas[slices[i]])
         finally:
             _in_slice.active = nested
 
     futures = []
     if workers > 1 and len(slices) > 1:
         pool = _kernel_pool(workers)
-        futures = [pool.submit(run, part) for i, part in enumerate(slices) if i % workers]
+        futures = [pool.submit(run, i) for i in range(len(slices)) if i % workers]
     try:
-        for part in slices[::workers]:
-            run(part)
+        for i in range(0, len(slices), workers):
+            run(i)
     finally:
-        wait(futures)  # also when a slice raised: no writes after return
+        wait(futures)  # also when a slice raised: no task outlives the call
     for f in futures:
         f.result()
-    return out
+    return np.concatenate(results, axis=-1, dtype=np.float64)
 
 
 def _exp_clamped(la: np.ndarray, sign=1.0) -> np.ndarray:
@@ -945,15 +952,18 @@ def integrate_mc(
     samples: int,
     seed: int,
     stderr_target: Optional[float] = None,
-) -> Estimate:
+) -> Union[Estimate, Tuple[Estimate, ...]]:
     """Unbiased Monte Carlo estimate of the integral of f over the region.
 
     f maps a (k, m) batch of points drawn uniformly from the region to (k,)
-    values, one per point (any other shape raises ValueError); the
-    estimate is the region's volume times their mean. Block b draws at
-    most MC_BLOCK points from the derived stream (seed, b), and each
-    block's moments are merged in block order, so the estimate depends
-    only on (seed, samples), never on scheduling.
+    values, one per point, or to a (j, k) stack of j integrands' values
+    over the same points, the same j in every call (any other shape raises
+    ValueError); the estimate is the region's volume times their mean, and
+    a stack gives a tuple of j Estimates, row by row, each with the bits a
+    lone call of its row would give. Block b draws at most MC_BLOCK points
+    from the derived stream (seed, b), and each block's moments are merged
+    in block order, so the estimate depends only on (seed, samples), never
+    on scheduling.
 
     The blocks are taken in windows of one per core (`_worker_count`):
     the calling thread and the kernel pool draw a window's blocks at once
@@ -961,17 +971,18 @@ def integrate_mc(
     MC_BLOCK points but the last. The array is reused from window to
     window, so f must not keep it. When stderr_target is given, the budget
     doubles from one block until the reported stderr (scaled by the region
-    volume) meets it, with `samples` as the hard cap; no window crosses
-    one of these checkpoints, and the Estimate reports the samples spent.
+    volume) meets it, for every row of a stack, with `samples` as the hard
+    cap; no window crosses one of these checkpoints, and the Estimate
+    reports the samples spent.
     """
-    if not isinstance(samples, (int, np.integer)):
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError("samples must be an integer")
     if samples < 1:
         raise ValueError("samples must be positive")
     if stderr_target is not None and not stderr_target >= 0.0:  # NaN too
         raise ValueError("stderr_target must be nonnegative")
     scale = region.volume()
-    moments = RunningMoments()
+    moments = None  # one RunningMoments per row, from the first window on
     workers = 1 if getattr(_in_slice, "active", False) else _worker_count()
     blocks = -(-samples // MC_BLOCK)
     window = np.empty((min(samples, workers * MC_BLOCK), region.m))
@@ -995,21 +1006,24 @@ def integrate_mc(
             fut.result()
         size = min(samples, stop * MC_BLOCK) - start * MC_BLOCK
         vals = np.asarray(f(window[:size]), dtype=np.float64)
-        if vals.shape != (size,):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != size or vals.size == 0:
             raise ValueError(f"integrand returned shape {vals.shape} for {size} points")
+        if moments is None:
+            height, moments = vals.shape[:-1], [RunningMoments() for _ in range(vals.size // size)]
+        if vals.shape[:-1] != height:
+            raise ValueError(f"integrand returned shape {vals.shape} for {size} points, "
+                             f"stack shape {height} before")
         for lo in range(0, size, MC_BLOCK):
-            moments.add(vals[lo:lo + MC_BLOCK])
+            for acc, row in zip(moments, vals.reshape(-1, size)):
+                acc.add(row[lo:lo + MC_BLOCK])
         start = stop
         if stderr_target is not None and start == checkpoint:
-            if scale * moments.stderr <= stderr_target:
+            if scale * max(acc.stderr for acc in moments) <= stderr_target:
                 break
             checkpoint *= 2
-    return Estimate(
-        value=scale * moments.mean,
-        stderr=scale * moments.stderr,
-        samples=moments.count,
-        seed=int(seed),
-    )
+    estimates = tuple(Estimate(scale * acc.mean, scale * acc.stderr, acc.count, int(seed))
+                      for acc in moments)
+    return estimates if height else estimates[0]
 
 
 # -- quadratic approximation of log dhat ------------------------------------------------

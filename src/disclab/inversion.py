@@ -26,8 +26,7 @@ from .fourier import (
     FarRegionReport,
     Region,
     _cos_turns,
-    _exp_clamped,
-    dhat_log_abs_batch,
+    dhat_batch,
     far_region_integral,
     integrate_mc,
     xhat_batch,
@@ -243,7 +242,9 @@ class AssemblyReport:
              coordinates +-1/2 is one point of the torus counted 2^j times,
              and the j = 1 shells carry almost all of the sum, so near is
              about twice the torus value (3.05e-15 against 1.54e-15 at
-             m = 8) and spike_ok is conservative.
+             m = 8) and spike_ok is conservative. It is estimated on the
+             central's points, so its seed is the central's and spike_ok
+             compares two estimates whose errors are correlated.
     far:     integral of |xhat| over the region at lattice distance >= the
              same radius, with log diagnostics.
     witness: integral of xhat over the smaller ball of radius 1/(pi sqrt n)
@@ -276,7 +277,10 @@ def three_region_assembly(
     sampler covers all 3^m - 1 shells at once. Those shifts count each
     shell of the torus once per sign of each +-1/2 coordinate, so `near`
     is about twice the torus value and the spike check against it is
-    conservative (see AssemblyReport).
+    conservative (see AssemblyReport). Both pieces live on the same ball,
+    so they are one stacked integrand over the same points and seed: one
+    kernel pass gives dhat, xhat = dhat rhat and |dhat| times the shell
+    sum.
     """
     if not isinstance(smoothing, SmoothingSpec):
         raise TypeError("assembly expects the width-delta smoother")
@@ -285,19 +289,12 @@ def three_region_assembly(
     if radius > 0.5:
         raise ValueError("central radius exceeds the cube; t is too small")
 
-    central = integrate_mc(
-        lambda pts: xhat_batch(A, smoothing, pts),
+    central, near = integrate_mc(  # xhat, and |dhat| times the sum over s of rhat(theta + s)
+        lambda pts: dhat_batch(A, pts, lambda d, cos_t: np.stack(
+            [d * smoothing.rhat_of_cos(cos_t), np.abs(d) * smoothing.shell_sum_of_cos(cos_t)])),
         Region.origin_ball(A.m, radius),
         samples,
         child_seed(seed, 0),
-    )
-
-    near = integrate_mc(  # |dhat| times the sum over nonzero shifts s of rhat(theta + s)
-        lambda pts: dhat_log_abs_batch(
-            A, pts, lambda la, cos_t: _exp_clamped(la) * smoothing.shell_sum_of_cos(cos_t)),
-        Region.origin_ball(A.m, radius),
-        samples,
-        child_seed(seed, 1),
     )
 
     far = far_region_integral(

@@ -544,12 +544,120 @@ def test_integrate_mc_rejects_bad_arguments():
     for target in (-1e-3, -math.inf, math.nan):
         with pytest.raises(ValueError, match="stderr_target must be nonnegative"):
             dl.integrate_mc(ones, cube, 10, 1, stderr_target=target)
-    for samples in (10.0, 1.5, "10", None):
+    for samples in (10.0, 1.5, "10", None, True, False, np.True_):
         with pytest.raises(ValueError, match="samples must be an integer"):
             dl.integrate_mc(ones, cube, samples, 1)
     # The edges that stay valid: a zero or infinite target, a numpy count.
     assert dl.integrate_mc(ones, cube, np.int64(10), 1, stderr_target=0.0).samples == 10
     assert dl.integrate_mc(ones, cube, 10, 1, stderr_target=math.inf).samples == 10
+
+
+def _shell_stack(A, s):
+    """The assembly's central and near integrands over the same points, as
+    one (2, k) stack and as two separate integrands."""
+    def stack(pts):
+        return fr.dhat_batch(A, pts, lambda d, cos_t: np.stack(
+            [d * s.rhat_of_cos(cos_t), np.abs(d) * s.shell_sum_of_cos(cos_t)]))
+    rows = (lambda pts: fr.xhat_batch(A, s, pts),
+            lambda pts: fr.dhat_log_abs_batch(
+                A, pts, lambda la, cos_t: fr._exp_clamped(la) * s.shell_sum_of_cos(cos_t)))
+    return stack, rows
+
+
+def test_stacked_integrand_matches_separate_calls_bitwise(monkeypatch):
+    # 70 000 samples: two blocks, the last one ragged. Each row of the
+    # stack keeps the bits of a lone call at the same (seed, samples), at
+    # one and three workers with every batch split across the pool.
+    A = dl.sample_bernoulli(3, 200, 0.5, 5)
+    s = dl.build_pmf(1)
+    stack, rows = _shell_stack(A, s)
+    ball = fr.Region.origin_ball(3, 0.05)
+    k = 70000
+    expected = tuple(dl.integrate_mc(f, ball, k, 8) for f in rows)
+    assert expected[0].value != expected[1].value and all(e.samples == k for e in expected)
+    monkeypatch.setattr(fr, "PARALLEL_MIN_WORK", 0)
+    for workers in (1, 3):
+        monkeypatch.setattr(fr, "_worker_count", lambda: workers)
+        assert tuple(dl.integrate_mc(f, ball, k, 8) for f in rows) == expected, workers
+        got = dl.integrate_mc(stack, ball, k, 8)
+        assert isinstance(got, tuple), workers
+        assert [_est_hex(e) for e in got] == [_est_hex(e) for e in expected], workers
+        assert got == expected, workers
+    # An empty batch still gives the stack's height.
+    assert stack(np.empty((0, 3))).shape == (2, 0)
+
+
+def test_stacked_adaptive_stop_waits_for_every_row(monkeypatch):
+    # Row 1 is row 0 times 1.5, so it meets the target at a later
+    # checkpoint; the stack stops there, with both rows at its count.
+    monkeypatch.setattr(fr, "MC_BLOCK", 1000)
+    region = fr.Region.quarter_cube(3)
+    f = lambda p: np.cos(2 * np.pi * p[:, 0]) + p[:, 1]  # noqa: E731
+    g = lambda p: 1.5 * f(p)  # noqa: E731
+    target = dl.integrate_mc(f, region, 2000, 4).stderr * 1.0001
+    fast, slow = (dl.integrate_mc(h, region, 10 ** 6, 4, stderr_target=target) for h in (f, g))
+    assert fast.samples == 2000 < slow.samples
+    expected = (dl.integrate_mc(f, region, slow.samples, 4), slow)
+    for workers in (1, 3):
+        monkeypatch.setattr(fr, "_worker_count", lambda: workers)
+        for rows in ((f, g), (g, f)):
+            got = dl.integrate_mc(lambda p: np.stack([h(p) for h in rows]), region, 10 ** 6, 4,
+                                  stderr_target=target)
+            assert got == (expected if rows[0] is f else expected[::-1]), workers
+
+
+def test_stack_of_height_one_is_a_lone_integrand():
+    f = lambda p: np.cos(2 * np.pi * p[:, 0]) + p[:, 1]  # noqa: E731
+    cube = fr.Region.full_cube(2)
+    for k in (1, 3000, 70000):
+        assert dl.integrate_mc(lambda p: f(p)[None], cube, k, 3) == (dl.integrate_mc(f, cube, k, 3),)
+
+
+def test_integrate_mc_rejects_bad_stacks(monkeypatch):
+    monkeypatch.setattr(fr, "_worker_count", lambda: 1)
+    cube = fr.Region.full_cube(2)
+    for f in (lambda p: np.ones((1, 1, len(p))), lambda p: np.ones((2, len(p) + 1)),
+              lambda p: np.ones((2, 1)), lambda p: np.ones((0, len(p)))):
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            dl.integrate_mc(f, cube, 10, 1)
+    # The stack's shape changes in the second window (one block each).
+    for first, later in (((2,), (3,)), ((2,), ()), ((), (1,))):
+        calls = []
+
+        def changing(p):
+            calls.append(len(p))
+            return np.ones((first if len(calls) == 1 else later) + (len(p),))
+
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            dl.integrate_mc(changing, cube, 70000, 1)
+        assert calls == [fr.MC_BLOCK, 70000 - fr.MC_BLOCK], (first, later)
+
+
+def test_single_point_transforms_reject_nonfinite_theta():
+    A = dl.sample_bernoulli(3, 20, 0.5, 4)  # small enough for the brute force
+    s1 = dl.build_pmf(1)
+    callers = (
+        lambda th: dl.dhat(A, th),
+        lambda th: dl.xhat(A, s1, th),
+        lambda th: dl.dhat_partial(A, th, 5),
+        lambda th: dl.dhat_bruteforce(A, th),
+        lambda th: fr.decay_bound_large_entry(th, 0.5),
+        lambda th: fr.decay_bound_centered(th, 0.5),
+        lambda th: fr.decay_bound_summary(th, 0.5),
+        lambda th: fr.one_factor_abs_cos_exact(th, 0.5),
+        lambda th: fr.one_factor_centered_exact(th, 0.5, 0.1),
+        lambda th: fr.check_quadratic_approx(A, th),
+        lambda th: dl.spike_dominance_x(A, s1, th),
+    )
+    for bad in (math.inf, -math.inf, math.nan):
+        for call in callers:
+            for pos in range(3):
+                th = [0.01, 0.0, 0.0]
+                th[pos] = bad
+                with pytest.raises(ValueError, match="theta must be finite"):
+                    call(th)
+    for call in callers:  # a finite theta still goes through
+        call([0.01, 0.0, 0.0])
 
 
 def test_nonfinite_radius_and_delta_rejected():
@@ -685,6 +793,13 @@ def test_far_region_integral_rejects_nonpositive_samples():
     A = dl.sample_bernoulli(3, 50, 0.5, 1)
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be positive"):
+            dl.far_region_integral(A, 0.1, samples, 1)
+
+
+def test_far_region_integral_rejects_a_bool_sample_count():
+    A = dl.sample_bernoulli(3, 50, 0.5, 1)
+    for samples in (True, False):
+        with pytest.raises(ValueError, match="samples must be an integer"):
             dl.far_region_integral(A, 0.1, samples, 1)
 
 
@@ -1542,7 +1657,7 @@ def test_integrands_match_einsum_reference_bitwise(shape):
 
         near = dl.integrate_mc(
             lambda p: fr._exp_clamped(_reference_rows(*A.column_types, False, p)[0]) * shifted_rhat_sum(p),
-            ball, 2000, child_seed(6, 1))
+            ball, 2000, child_seed(6, 0))  # the central's points
         assert asm.central == dl.integrate_mc(lambda p: _reference_xhat(A, s, p), ball, 2000,
                                               child_seed(6, 0))
         assert asm.near == near
