@@ -723,11 +723,11 @@ def _map_rows(fn: Callable[[np.ndarray], np.ndarray], A: IncidenceMatrix, thetas
     fn maps k rows to k values, or to a (j, k) stack, each row's computed
     from that row alone and the same way in any slice, so no value depends
     on the slicing or on the thread; the slices' results are joined along
-    their last axis. Work is counted in points x column types of A. A batch of at
-    least PARALLEL_MIN_WORK is cut into slices that the calling thread and
-    the kernel pool share, the caller taking every T-th of the T threads'
-    slices; each slice is at most KERNEL_CHUNK / T points x types, so at
-    most KERNEL_CHUNK are in flight at once. A call made inside a slice
+    their last axis. Work is counted in points x column types of A. A
+    batch of at least PARALLEL_MIN_WORK is cut into slices that the calling
+    thread and the kernel pool share, the caller taking every T-th of the T
+    threads' slices; each slice is at most KERNEL_CHUNK / T points x types,
+    so at most KERNEL_CHUNK are in flight at once. A call made inside a slice
     runs on that slice's thread, with no second split.
     """
     thetas = _theta_rows(thetas, A.m)
@@ -1013,8 +1013,9 @@ def integrate_mc(
         if vals.shape[:-1] != height:
             raise ValueError(f"integrand returned shape {vals.shape} for {size} points, "
                              f"stack shape {height} before")
+        rows = vals.reshape(-1, size)
         for lo in range(0, size, MC_BLOCK):
-            for acc, row in zip(moments, vals.reshape(-1, size)):
+            for acc, row in zip(moments, rows):
                 acc.add(row[lo:lo + MC_BLOCK])
         start = stop
         if stderr_target is not None and start == checkpoint:
