@@ -56,8 +56,8 @@ from .inversion import (
 from .solvers import (
     SearchResult,
     count_colorings_within,
-    counting_bound,
     exhaustive_min_disc,
+    expected_good_colorings,
     local_search,
     random_search,
 )

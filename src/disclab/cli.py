@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--n", type=int, required=True)
     lb.add_argument("--p", type=float, default=0.5)
     lb.add_argument("--trials", type=int, default=50)
-    lb.add_argument("--kappa", type=float, default=3.0)
     _common_flags(lb)
 
     return parser
@@ -210,8 +209,7 @@ def _cmd_experiment_theorem(args) -> int:
 
 
 def _cmd_experiment_lowerbound(args) -> int:
-    report = hz.run_lowerbound_probe(
-        args.m, args.n, args.p, args.trials, seed=args.seed, kappa=args.kappa)
+    report = hz.run_lowerbound_probe(args.m, args.n, args.p, args.trials, seed=args.seed)
     _emit(report, args.out)
     return EXIT_OK
 

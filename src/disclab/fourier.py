@@ -153,10 +153,11 @@ LIBM_CHUNK = 1 << 18
 
 # Points x gathered rows (LOG_GROUP per group of types, so at least the
 # column types) per step of the angle-addition path: its three
-# (rows, points) arrays, 1.5 MB, fit a 2 MB L2 cache. The path's stacked
-# half tables are built per block of whole steps holding about
-# 2 TABLE_CHUNK values, 1 MB, so they stay in that cache too (about 970
-# points at m = 10, 2020 at m = 8). On that Xeon with two threads, one
+# (rows, points) arrays, at most 1.5 MB, fit a 2 MB L2 cache. The path's
+# stacked half tables are built per block of whole steps holding at most
+# 2 TABLE_CHUNK values, 1 MB, at any number of types up to m = 30 (one
+# point's past it), so they stay in that cache too (about 970 points at
+# m = 10, 2020 at m = 8). On that Xeon with two threads, one
 # round of the m in {8, 10} benchmark workload took 248.5-249.7 ms with
 # steps of 2^15, 229.6-231.0 with 3 2^14, 230.0-230.8 with 2^16 and
 # 246.5-247.6 with 3 2^15 (three 12 s runs each): smaller steps make more
@@ -455,10 +456,10 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     ndarray.take calls. This matters because each call takes the
     interpreter lock back from the other threads of the row split, and
     Python between the calls holds it. A block is a whole number of steps
-    whose stacked tables, 4 2^(m-h) values per point, hold about
-    2 TABLE_CHUNK values: with the step's buffers they fit a core's L2
-    cache, and beyond the batch's O(1) values per point (O(m) with coords)
-    the working set does not grow with the batch. This path rounds
+    whose stacked tables, 4 2^(m-h) values per point, hold at most
+    2 TABLE_CHUNK values up to m = 30: with the step's buffers they fit a
+    core's L2 cache, and beyond the batch's O(1) values per point (O(m)
+    with coords) the working set does not grow with the batch. This path rounds
     differently from one cosine per factor: near the origin log|dhat|
     stays within rel 1e-12 of the column product; on the cube its worst
     error, relative to the conditioning sum_v counts[v] / |cos_v|, is
@@ -560,9 +561,10 @@ def _kernel(V: np.ndarray, counts: np.ndarray, signed: bool) -> Callable[..., Ro
     levels = _half_table_levels(m)
     plus_minus = np.array([1.0, -1.0])  # the sign of an even and an odd count of negatives
     height = LOG_GROUP * groups  # gathered rows per point
-    step = max(1, TABLE_CHUNK // max(height, 1))
-    # Points per block of half tables: whole steps, and about 2 TABLE_CHUNK
-    # values for the stacked tables, 4 2^(m-h) per point.
+    step = max(1, TABLE_CHUNK // max(height, 2 << (m - h)))
+    # Points per block of half tables: whole steps, and at most 2 TABLE_CHUNK
+    # values for the stacked tables, 4 2^(m-h) per point; a step has no more
+    # points than that, so few types never stretch a block (one point past m = 30).
     block = max(step, TABLE_CHUNK // (2 << (m - h)) // step * step)
 
     def rows(thetas: np.ndarray, coords: bool = False) -> Rows:

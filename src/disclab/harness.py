@@ -74,8 +74,12 @@ class ExperimentConfig:
             raise ValueError("solver must be 'random' or 'local'")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")
-        if self.trials < 0 or self.budget < 1:
-            raise ValueError("trials must be >= 0 and budget >= 1")
+        # Python ints only: numpy's would not serialise in the JSON report.
+        counts = (self.trials, self.budget, self.restarts, self.target)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in counts):
+            raise ValueError("trials, budget, restarts and target must be ints")
+        if self.trials < 0 or self.budget < 1 or self.restarts < 1:
+            raise ValueError("trials must be >= 0, budget >= 1 and restarts >= 1")
         if self.target < 0:
             raise ValueError("target must be nonnegative")
         for m in self.m_list:
@@ -195,21 +199,18 @@ def run_lowerbound_probe(
     p: float,
     trials: int,
     seed: int = 42,
-    kappa: float = 3.0,
 ) -> dict:
-    """Exhaustive minimum-discrepancy statistics on tiny instances, against
-    the counting upper bound 2^n (kappa delta / sqrt n)^m on the colorings
-    of discrepancy at most delta = 1."""
+    """Exhaustive minimum-discrepancy statistics on tiny instances, and the
+    mean number of colorings of discrepancy at most delta = 1 against its
+    exact expectation over A (`solvers.expected_good_colorings`): z is the
+    mean's distance from it in standard errors of the trials' counts, None
+    below two trials or when every trial has the same count."""
     if n > LOWERBOUND_MAX_N:
         raise ValueError(f"probe requires n <= {LOWERBOUND_MAX_N}, got {n}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     delta = 1
-    bound = sv.counting_bound(m, n, delta, kappa)
-    # log2 of the bound, None when it is zero; the bound itself is reported
-    # only while finite, since JSON has no infinity.
-    log2_bound = (None if bound == 0.0 else
-                  n + m * (math.log2(kappa) - 0.5 * math.log2(n)))
+    expected = float(sv.expected_good_colorings(m, n, p, delta))  # at most 2^n: never overflows
     histogram: Dict[int, int] = {}
     good_counts: List[int] = []
     for trial in range(trials):
@@ -219,14 +220,13 @@ def run_lowerbound_probe(
         good_counts.append(sv.count_colorings_within(A, delta))
     at_most = sum(c for d, c in histogram.items() if d <= delta)
     mean_good = float(np.mean(good_counts)) if good_counts else None
+    spread = float(np.std(good_counts, ddof=1)) if trials >= 2 else 0.0
     return {
-        "m": m, "n": n, "p": p, "trials": trials, "seed": seed,
-        "delta": delta, "kappa": kappa,
+        "m": m, "n": n, "p": p, "trials": trials, "seed": seed, "delta": delta,
         "min_disc_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "prob_min_disc_at_most_delta": at_most / trials if trials else None,
         "mean_good_colorings": mean_good,
-        "counting_bound": bound if bound < math.inf else None,
-        "counting_bound_log2": log2_bound,
-        "mean_within_bound": (None if mean_good is None else mean_good == 0.0 or (
-            log2_bound is not None and math.log2(mean_good) <= log2_bound)),
+        "expected_good_colorings": expected,
+        "mean_good_colorings_z": (
+            (mean_good - expected) / (spread / math.sqrt(trials)) if spread > 0 else None),
     }

@@ -1,9 +1,9 @@
-"""Random set systems stored as packed 0/1 incidence matrices.
+"""Random set systems stored as dense 0/1 incidence matrices.
 
 Rows are sets, columns are elements: entry ``A[i][j] = 1`` iff element j
-belongs to set i. Both orientations are kept as packed 64-bit words so
-single-bit tests are O(1) in either direction; a dense int8 copy backs the
-vectorized linear algebra. Everything here is immutable after
+belongs to set i. One read-only int8 array backs every query, from
+single entries to the vectorized linear algebra; only the JSON instance
+format packs rows, as hex. Everything here is immutable after
 construction and safe to share across threads.
 """
 
@@ -42,22 +42,6 @@ class GenMeta:
     generator: Optional[str] = None
 
 
-def _pack_u64(bits: np.ndarray) -> np.ndarray:
-    """Pack a (r, c) 0/1 uint8 array into (r, ceil(c/64)) uint64 words.
-
-    Bit j of a row lives at word j >> 6, position j & 63 (LSB first),
-    little-endian words.
-    """
-    r, c = bits.shape
-    words = (c + 63) // 64
-    padded = np.zeros((r, words * 64), dtype=np.uint8)
-    padded[:, :c] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    out = packed.view("<u8")
-    out.flags.writeable = False
-    return out
-
-
 def _row_to_hex(bits_row: np.ndarray) -> str:
     # Most significant bit of the first hex digit is column 0; trailing
     # pad bits (up to 3) are zero and trimmed to ceil(n/4) digits.
@@ -84,14 +68,11 @@ class IncidenceMatrix:
     ----------
     m, n : int
         Number of sets (rows) and elements (columns).
-    row_words, col_words : uint64 arrays
-        Packed bits, one row per set resp. one row per element.
     meta : GenMeta
         How the matrix was generated, if sampled.
     """
 
-    __slots__ = ("m", "n", "meta", "row_words", "col_words",
-                 "_bits", "_cols64", "_types", "_row_sums", "_col_sums")
+    __slots__ = ("m", "n", "meta", "_bits", "_cols64", "_types", "_row_sums", "_col_sums")
 
     def __init__(self, bits, meta: Optional[GenMeta] = None):
         arr = np.asarray(bits)
@@ -107,8 +88,6 @@ class IncidenceMatrix:
         self.m = m
         self.n = n
         self._bits = b
-        self.row_words = _pack_u64(b.view(np.uint8))
-        self.col_words = _pack_u64(np.ascontiguousarray(b.T).view(np.uint8))
         self.meta = meta if meta is not None else GenMeta()
         self._cols64 = None
         self._types = None
@@ -137,12 +116,15 @@ class IncidenceMatrix:
 
         Returns (V, c): V is a read-only float64 array of shape (m, k) whose
         columns are the k <= min(n, 2^m) distinct columns of the matrix, and
-        c the int64 number of columns equal to each. The transform of the
-        signed discrepancy depends on the columns only through this multiset.
+        c the int64 number of columns equal to each. The types are in
+        ascending order of their masks, with row i as bit i: each column is
+        read from row m-1 down as m bytes, compared as a byte string. The
+        transform of the signed discrepancy depends on the columns only
+        through this multiset.
         """
         if self._types is None:
-            _, first, counts = np.unique(self.col_words, axis=0,
-                                         return_index=True, return_counts=True)
+            keys = np.ascontiguousarray(self._bits[::-1].T).view(f"V{self.m}").ravel()
+            _, first, counts = np.unique(keys, return_index=True, return_counts=True)
             V = np.ascontiguousarray(self._bits[:, first], dtype=np.float64)
             V.flags.writeable = False
             counts = counts.astype(np.int64)
@@ -176,11 +158,10 @@ class IncidenceMatrix:
         return self.meta.p * self.m
 
     def entry(self, i: int, j: int) -> int:
-        """Bit A[i][j], read from the packed row words."""
+        """Bit A[i][j]."""
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise IndexError("entry index out of range")
-        word = self.row_words[i, j >> 6]
-        return int((word >> np.uint64(j & 63)) & np.uint64(1))
+        return int(self._bits[i, j])
 
     def row_elements(self, i: int) -> np.ndarray:
         """The set with index i, as the sorted indices of its elements."""
@@ -194,10 +175,10 @@ class IncidenceMatrix:
         if not isinstance(other, IncidenceMatrix):
             return NotImplemented
         return (self.m == other.m and self.n == other.n
-                and np.array_equal(self.row_words, other.row_words))
+                and np.array_equal(self._bits, other._bits))
 
     def __hash__(self):
-        return hash((self.m, self.n, self.row_words.tobytes()))
+        return hash((self.m, self.n, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"IncidenceMatrix(m={self.m}, n={self.n}, meta={self.meta})"

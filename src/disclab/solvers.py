@@ -1,5 +1,5 @@
 """Coloring search: exact minimum at tiny n, randomized and local search
-at desk scale, and the counting upper bound on good colorings.
+at desk scale, and the exact expected number of good colorings.
 
 None of these carries a guarantee; existence in the random regime is a
 probabilistic fact and every routine here is a plain search heuristic.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
     "count_colorings_within",
     "random_search",
     "local_search",
-    "counting_bound",
+    "expected_good_colorings",
     "EXHAUSTIVE_MAX_N",
 ]
 
@@ -320,16 +321,27 @@ def local_search(
     return SearchResult(coloring=None, disc=None, flips=total_flips, trials=trials)
 
 
-def counting_bound(m: int, n: int, delta: int, kappa: float) -> float:
-    """Upper bound 2^n (kappa delta / sqrt n)^m on the expected number of
-    colorings with discrepancy <= delta, computed in log space."""
-    if m < 1 or n < 1 or delta < 0:
-        raise ValueError("invalid counting-bound parameters")
-    if not (0.0 <= kappa < math.inf):
-        raise ValueError(f"kappa must be finite and nonnegative, not {kappa}")
-    if delta == 0 or kappa == 0.0:
-        return 0.0
-    log_value = n * math.log(2.0) + m * (math.log(kappa * delta) - 0.5 * math.log(n))
-    if log_value > 700.0:
-        return math.inf
-    return math.exp(log_value)
+def expected_good_colorings(m: int, n: int, p: float, delta: int) -> Fraction:
+    """E_A[N], exactly: the expected number of colorings of discrepancy at
+    most delta over m x n matrices A of independent Bernoulli(p) entries.
+
+    A coloring with k signs +1 gives each row the sum X - Y, X ~ Bin(k, p)
+    and Y ~ Bin(n - k, p) independent, and the rows are independent, so
+    E_A[N] = sum_k C(n, k) Pr[|X - Y| <= delta]^m. With p = a / b in
+    lowest terms (exact for a float p), b^n Pr[|X - Y| <= delta] is the
+    integer sum of C(k, x) C(n - k, y) a^(x + y) (b - a)^(n - x - y) over
+    |x - y| <= delta, so the sum runs in integers and divides once.
+    """
+    if m < 1 or n < 1 or delta < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError("need m >= 1, n >= 1, delta >= 0 and p in [0, 1]")
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"refusing the exact expectation for n={n} > {EXHAUSTIVE_MAX_N}")
+    a, b = Fraction(p).as_integer_ratio()
+    weight = [a ** s * (b - a) ** (n - s) for s in range(n + 1)]  # of s ones in n entries
+    total = 0
+    for k in range(n + 1):
+        within = sum(math.comb(k, x) * math.comb(n - k, y) * weight[x + y]
+                     for x in range(k + 1)
+                     for y in range(max(0, x - delta), min(n - k, x + delta) + 1))
+        total += math.comb(n, k) * within ** m
+    return Fraction(total, b ** (n * m))

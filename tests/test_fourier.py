@@ -1,9 +1,12 @@
 import itertools
 import math
 import multiprocessing as mp
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1002,6 +1005,12 @@ def _height(counts):
     return _log_groups(counts)[0].size
 
 
+def _step(counts, m, chunk):
+    """Points per step of the angle-addition path: at most chunk gathered
+    values, and at most the points of a block of half tables."""
+    return max(1, chunk // max(_height(counts), 2 << (m - m // 2)))
+
+
 def _grouped_rows(V, counts, signed, thetas, coords=False):
     """The angle-addition path's rule, written out as the reference: each
     half's cos and sin tables over the whole batch by angle addition, a
@@ -1288,7 +1297,7 @@ def test_table_kernel_matches_whole_batch_reference_bitwise(m, monkeypatch):
             missing = [] if full else rng.choice(m, size=int(rng.integers(0, 3)), replace=False).tolist()
             V, counts = _random_types(rng, m, types, full or bool(rng.integers(2)), missing)
             assert V.shape[1] == types
-            step = max(1, chunk // _height(counts))
+            step = _step(counts, m, chunk)
             block = max(step, chunk // ((1 << m // 2) + (1 << (m - m // 2))) // step * step)
             if chunk < fr.TABLE_CHUNK and types > _gate(m):
                 assert block > step
@@ -1324,7 +1333,7 @@ def test_table_kernel_matches_per_step_sign_reference_bitwise(m, monkeypatch):
         first = _gate(m) + 1 if chunk == fr.TABLE_CHUNK else _first_table_types(m)
         for types in sorted({first, int(rng.integers(first, (1 << m) + 1))}):
             V, counts = _random_types(rng, m, types, bool(rng.integers(2)), [])
-            step = max(1, chunk // _height(counts))
+            step = _step(counts, m, chunk)
             block = max(step, chunk // (2 << (m - m // 2)) // step * step)
             sizes = {0, 1, step - 1, step, step + 1, block + step // 2 + 1, 3 * block + 1}
             pts = _points(rng, max(sizes) // 2 + 1, m)
@@ -1354,7 +1363,7 @@ def test_table_kernel_count_parities_and_ragged_ends_bitwise(m, parity, monkeypa
     counts = {"even": 2 * counts, "odd": 2 * counts + 1, "mixed": counts}[parity]
     for chunk in (fr.TABLE_CHUNK, 1 << 11):
         monkeypatch.setattr(fr, "TABLE_CHUNK", chunk)
-        step = max(1, chunk // _height(counts))
+        step = _step(counts, m, chunk)
         block = max(step, chunk // (2 << (m - m // 2)) // step * step)
         ragged = 3 * block - 1  # last block block - 1 points, last step step - 1
         assert step > 1 and ragged % block % step == step - 1
@@ -1487,6 +1496,36 @@ def test_table_kernel_exact_zero_factor_gives_zero():
     assert dl.xhat(A, dl.build_pmf(1), th[0]) == 0.0
     assert dl.dhat_partial(A, th[0], A.n) == 0.0 and dl.dhat_partial(A, th[0], 1) == 0.0
     assert dl.dhat_partial(A, th[1], A.n) == pytest.approx(abs(d[1]), rel=1e-12)
+
+
+def test_table_kernel_memory_is_bounded_with_few_types():
+    # 60 columns at m = 24 and 30 give 60 types, so steps of about a
+    # thousand points; blocks of that many points once stacked 143 MB of
+    # half tables at m = 24 and 1.1 GB at m = 30. Under a 256 MB
+    # address-space cap on the child only, which runs on one core and one
+    # BLAS thread so that the cap does not depend on the core count, each
+    # batch must finish, with the bits of the same points in steps of one.
+    resource = pytest.importorskip("resource")
+    limit = 256 * 2 ** 20
+    code = ("import os\n"
+            "import numpy as np\n"
+            "import disclab as dl\n"
+            "from disclab import fourier as fr\n"
+            "if hasattr(os, 'sched_setaffinity'):\n"
+            "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
+            "for m in (24, 30):\n"
+            "    A = dl.sample_bernoulli(m, 60, 0.5, 1)\n"
+            "    pts = np.random.default_rng(m).random((4096, m)) - 0.5\n"
+            "    got = fr.dhat_batch(A, pts)\n"
+            "    assert all(fr.dhat(A, pts[i]) == got[i] for i in range(0, 4096, 511)), m\n"
+            "print('ok')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_kernel_step_and_path_follow_each_kernel(monkeypatch):

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import disclab as dl
@@ -39,6 +40,18 @@ def test_config_rejects_oversized_n():
         hz.ExperimentConfig(m_list=[3], solver="sdp")
     with pytest.raises(ValueError, match="target must be nonnegative"):
         hz.ExperimentConfig(m_list=[3], target=-1)
+
+
+@pytest.mark.parametrize("field", [
+    dict(restarts=0), dict(restarts=0, solver="local"), dict(restarts=1.5), dict(trials=1.5),
+    dict(budget=2.5), dict(budget=True), dict(trials=True), dict(target=1.0),
+    dict(restarts=np.True_), dict(trials=np.int64(2)),
+])
+def test_config_checks_its_counts(field):
+    # Each of these once ran (or failed late, or in numpy, or in the JSON
+    # report) instead of being refused up front.
+    with pytest.raises(ValueError):
+        hz.ExperimentConfig(m_list=[3], **field)
 
 
 def test_theorem_experiment_zero_trials():
@@ -105,8 +118,7 @@ def test_success_rate_monotone_in_n():
 def test_lowerbound_probe():
     rep = hz.run_lowerbound_probe(10, 10, 0.5, trials=20, seed=3)
     assert sum(rep["min_disc_histogram"].values()) == 20
-    assert rep["mean_within_bound"] is True
-    assert rep["counting_bound"] == pytest.approx(dl.counting_bound(10, 10, 1, 3.0))
+    assert rep["expected_good_colorings"] == float(dl.expected_good_colorings(10, 10, 0.5, 1))
     # opposite regime: a single wide set almost always reaches disc <= 1
     easy = hz.run_lowerbound_probe(1, 24, 0.5, trials=20, seed=4)
     assert easy["prob_min_disc_at_most_delta"] >= 0.95
@@ -245,40 +257,40 @@ def test_cli_experiment_lowerbound(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["trials"] == 5
-    assert "counting_bound" in payload
+    assert payload["expected_good_colorings"] == float(dl.expected_good_colorings(4, 8, 0.5, 1))
+    # The counting bound's constant is gone with the bound.
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "lowerbound", "--m", "4", "--n", "8", "--kappa", "3"])
+    assert exc.value.code == 2
 
 
 def _refuse_constant(name):
     raise ValueError(f"not JSON: {name}")
 
 
-@pytest.mark.parametrize("args, bound, within", [
-    (["--m", "2", "--n", "4", "--kappa", "1e308"], None, True),
-    (["--m", "10", "--n", "24", "--kappa", "1e40"], None, True),
-    (["--m", "2", "--n", "4", "--kappa", "0"], 0.0, False),
+@pytest.mark.parametrize("m, n, p, trials, z", [
+    (10, 10, 0.5, 50, 0.126), (6, 16, 0.5, 50, -0.461), (4, 8, 0.5, 50, 1.620),
+    (8, 12, 0.1, 50, 0.033), (16, 16, 0.1, 20, -0.822),
 ])
-def test_cli_experiment_lowerbound_prints_valid_json(capsys, args, bound, within):
-    # An overflowing or a zero counting bound used to print Infinity or
-    # compare against it; the probe reports the bound's log2 instead.
-    code, out = run_cli(["experiment", "lowerbound", "--trials", "1"] + args, capsys)
+def test_lowerbound_probe_z_score(capsys, m, n, p, trials, z):
+    # The seed-42 mean counts lie within a few standard errors of the exact
+    # E_A[N]; at p = 0.1 the old guessed bound fell below E_A[N] at (16, 16).
+    code, out = run_cli(["experiment", "lowerbound", "--m", str(m), "--n", str(n),
+                         "--p", str(p), "--trials", str(trials)], capsys)
     assert code == 0
-    payload = json.loads(out, parse_constant=_refuse_constant)
-    assert payload["counting_bound"] == bound
-    m, n, kappa = int(args[1]), int(args[3]), float(args[5])
-    if kappa:
-        assert payload["counting_bound_log2"] == pytest.approx(
-            n + m * (math.log2(kappa) - 0.5 * math.log2(n)))
-        assert payload["counting_bound_log2"] > 1024
-    else:
-        assert payload["counting_bound_log2"] is None
-    assert payload["mean_good_colorings"] > 0
-    assert payload["mean_within_bound"] is within
+    rep = json.loads(out, parse_constant=_refuse_constant)
+    assert rep["expected_good_colorings"] == float(dl.expected_good_colorings(m, n, p, 1))
+    assert rep["mean_good_colorings_z"] == pytest.approx(z, abs=1e-3)
+    assert abs(rep["mean_good_colorings_z"]) < 4
 
 
-def test_lowerbound_probe_log2_bound_matches_the_bound():
-    rep = hz.run_lowerbound_probe(4, 8, 0.5, trials=3, seed=2)
-    assert 2.0 ** rep["counting_bound_log2"] == pytest.approx(rep["counting_bound"], rel=1e-12)
-    assert rep["mean_within_bound"] is (rep["mean_good_colorings"] <= rep["counting_bound"])
+def test_lowerbound_probe_z_score_needs_a_spread():
+    for trials in (0, 1):
+        assert hz.run_lowerbound_probe(3, 6, 0.5, trials)["mean_good_colorings_z"] is None
+    # p = 0: every coloring of the zero matrix is good, in every trial.
+    rep = hz.run_lowerbound_probe(3, 6, 0.0, 5)
+    assert rep["mean_good_colorings"] == rep["expected_good_colorings"] == 64.0
+    assert rep["mean_good_colorings_z"] is None
 
 
 def test_cli_oversized_config_is_usage_error(capsys):
@@ -519,16 +531,11 @@ def test_cli_negative_target_is_usage_error(tmp_path, capsys, command):
     (["experiment", "theorem", "--C", "nan"], "C must be positive and finite, not nan"),
     (["experiment", "theorem", "--C", "-1"], "C must be positive and finite, not -1.0"),
     (["experiment", "theorem", "--C", "0"], "C must be positive and finite, not 0.0"),
-    (["experiment", "lowerbound", "--kappa", "nan"], "kappa must be finite and nonnegative, not nan"),
-    (["experiment", "lowerbound", "--kappa", "inf"], "kappa must be finite and nonnegative, not inf"),
-    (["experiment", "lowerbound", "--kappa", "-1"], "kappa must be finite and nonnegative, not -1.0"),
+    (["experiment", "theorem", "--restarts", "0"],
+     "trials must be >= 0, budget >= 1 and restarts >= 1"),
 ])
 def test_cli_bad_experiment_constant_is_usage_error(capsys, command, message):
-    if command[1] == "theorem":
-        command = command + ["--m-list", "3", "--trials", "1", "--budget", "10"]
-    else:
-        command = command + ["--m", "2", "--n", "4", "--trials", "1"]
-    code = main(command)
+    code = main(command + ["--m-list", "3", "--trials", "1", "--budget", "10"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {message}\n"

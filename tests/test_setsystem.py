@@ -44,8 +44,6 @@ def test_packed_words_match_dense():
     for i in range(A.m):
         for j in range(0, A.n, 7):
             assert A.entry(i, j) == int(A.bits[i, j])
-    assert A.row_words.shape == (5, 3)  # ceil(130/64) words per row
-    assert A.col_words.shape == (130, 1)
 
 
 @pytest.mark.parametrize("m, n", [(3, 200), (70, 40)])
@@ -64,12 +62,30 @@ def test_column_types_are_the_column_multiset(m, n):
         counts[0] = 0
 
 
+def _packed_word_types(A):
+    # Each column packed into one 64-bit word, row i as bit i (m <= 64),
+    # and the words sorted: the types in ascending order of their masks.
+    padded = np.zeros((A.n, 64), dtype=np.uint8)
+    padded[:, :A.m] = A.bits.T
+    words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    _, first, counts = np.unique(words, axis=0, return_index=True, return_counts=True)
+    return A.bits[:, first], counts
+
+
+def test_column_types_are_in_ascending_mask_order():
+    # The kernels sum over the types in this order, so it fixes their bits.
+    for m in range(1, 65):
+        for p in (0.5, 0.05):
+            A = dl.sample_bernoulli(m, 200, p, m)
+            V, counts = A.column_types
+            V_ref, counts_ref = _packed_word_types(A)
+            assert np.array_equal(V, V_ref) and np.array_equal(counts, counts_ref), (m, p)
+
+
 def test_matrix_is_immutable():
     A = dl.sample_bernoulli(3, 10, 0.5, 1)
     with pytest.raises(ValueError):
         A.bits[0, 0] = 1
-    with pytest.raises(ValueError):
-        A.row_words[0, 0] = np.uint64(1)
 
 
 def test_signed_discrepancy_examples():

@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,22 +353,33 @@ def test_solver_witness_never_beats_exhaustive():
             assert dl.disc_of_coloring(A, res.coloring) >= best
 
 
-def test_counting_bound_examples():
-    assert dl.counting_bound(1, 1, 1, 1.0) == 2.0
-    assert dl.counting_bound(8, 16, 1, 1.0) == pytest.approx(1.0)
-    assert dl.counting_bound(2, 4, 0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        dl.counting_bound(0, 4, 1, 1.0)
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 10)])
+def test_expected_good_colorings_matches_enumeration_over_all_matrices(p):
+    # E_A[N] as the sum over all 2^(m n) matrices of N(A) p^ones (1 - p)^zeros.
+    for m, n in ((m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)):
+        cells = m * n
+        mats = ((np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1).astype(np.int8)
+        ones = mats.sum(axis=1)
+        signs = (1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)).astype(np.int8)
+        disc = np.abs(mats.reshape(-1, m, n) @ signs.T).max(axis=1)  # (matrices, colorings)
+        for delta in (0, 1, 2):
+            good = np.bincount(ones, weights=(disc <= delta).sum(axis=1), minlength=cells + 1)
+            want = sum(int(g) * p ** s * (1 - p) ** (cells - s) for s, g in enumerate(good))
+            assert sv.expected_good_colorings(m, n, p, delta) == want, (m, n, delta)
 
 
-def test_counting_bound_dominates_empirical_counts():
-    rng = stream(56)
-    counts = []
-    for _ in range(25):
-        A = dl.sample_bernoulli(10, 10, 0.5, int(rng.integers(2 ** 62)))
-        counts.append(dl.count_colorings_within(A, 1))
-    mean = float(np.mean(counts))
-    assert mean <= dl.counting_bound(10, 10, 1, 3.0)
+def test_expected_good_colorings_edges():
+    # A float p counts as the binary fraction it is.
+    assert sv.expected_good_colorings(3, 5, 0.3, 1) == sv.expected_good_colorings(
+        3, 5, Fraction(0.3), 1) != sv.expected_good_colorings(3, 5, Fraction(3, 10), 1)
+    # p = 0: every coloring is good; p = 1: the rows are all-ones, |sum x| <= 1.
+    assert sv.expected_good_colorings(4, 7, 0.0, 0) == 2 ** 7
+    assert sv.expected_good_colorings(4, 7, 1.0, 1) == 2 * math.comb(7, 3)
+    assert sv.expected_good_colorings(2, 30, 0.5, 1) > 0
+    for args in ((0, 4, 0.5, 1), (2, 0, 0.5, 1), (2, 4, 0.5, -1), (2, 4, 1.5, 1),
+                 (2, 4, math.nan, 1), (2, 31, 0.5, 1)):
+        with pytest.raises(ValueError):
+            sv.expected_good_colorings(*args)
 
 
 def test_random_search_regime_success_rate():

@@ -40,7 +40,7 @@ def test_checkers_take_no_tuning_parameters():
         fr.check_quadratic_approx: [("A", empty), ("theta", empty)],
         fr.decay_bound_summary: [("theta", empty), ("p", empty)],
         hz.run_lowerbound_probe: [("m", empty), ("n", empty), ("p", empty),
-                                  ("trials", empty), ("seed", 42), ("kappa", 3.0)],
+                                  ("trials", empty), ("seed", 42)],
         sm.half_lattice_points: [("m", empty)],
     }
     for fn, params in expected.items():
